@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import colorsys
 import csv
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -22,7 +21,6 @@ import numpy as np
 
 from .boxes import Box
 from .imageio import load_ppm, save_ppm
-from .tensorio import load_tensor
 
 
 @dataclass(frozen=True)
@@ -176,20 +174,14 @@ def _render_sample(spec: SynthSpec, split: str, index: int, label: int) -> Sampl
                   truth_box=Box(float(top), float(left), float(top + p), float(left + p)))
 
 
-def generate(spec: SynthSpec, workers: int = 1) -> tuple[list[Sample], list[Sample]]:
-    """Deterministic train/test splits; each sample is seeded independently,
-    so the result is byte-identical for any worker count."""
+def generate(spec: SynthSpec) -> tuple[list[Sample], list[Sample]]:
+    """Deterministic train/test splits, class-major; each sample is seeded
+    independently from (seed, split, index)."""
     jobs = {"train": spec.per_class_train, "test": spec.per_class_test}
     out: dict[str, list[Sample]] = {}
     for split, per_class in jobs.items():
         labels = [c for c in range(spec.classes) for _ in range(per_class)]
-        if workers > 1:
-            with ThreadPoolExecutor(max_workers=workers) as ex:
-                samples = list(ex.map(lambda i: _render_sample(spec, split, i, labels[i]),
-                                      range(len(labels))))
-        else:
-            samples = [_render_sample(spec, split, i, labels[i]) for i in range(len(labels))]
-        out[split] = samples
+        out[split] = [_render_sample(spec, split, i, label) for i, label in enumerate(labels)]
     return out["train"], out["test"]
 
 
@@ -257,8 +249,3 @@ def _resize_nearest(image: np.ndarray, size: int) -> np.ndarray:
     ri = np.minimum((np.arange(size) * h) // size, h - 1)
     ci = np.minimum((np.arange(size) * w) // size, w - 1)
     return image[:, ri][:, :, ci]
-
-
-def load_features(path):
-    """Read an externally produced feature-map tensor (DFLT file)."""
-    return load_tensor(path)

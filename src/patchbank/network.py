@@ -1,17 +1,18 @@
-"""Declarative model construction and the two-stream forward pass.
+"""Declarative model construction and the three-stream forward pass.
 
 A backbone is an ordered stack of conv/pool/relu layers with named tap
 points.  At each tapped feature map a patch-detector module attaches a
 bank of 1x1 filters (``conv6``), pools each response map to one value
 (``pool6``), classifies the pooled vector (P-Stream), and optionally
 exposes a parameter-free side branch that averages each class's filter
-group.  The G-Stream classifies the final backbone output.  Streams are
-merged at test time by a weighted sum of logits.
+group (the side stream).  The G-Stream classifies the final backbone
+output.  The G, P and side streams are merged at test time by a weighted
+sum of logits.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -150,10 +151,7 @@ class ModelSpec:
             raise ValueError(f"all modules must share one class count, got {sorted(classes)}")
         if self.pooling not in ("gmp", "gap"):
             raise ValueError(f"pooling must be 'gmp' or 'gap', got {self.pooling!r}")
-        if min(self.fusion_g, self.fusion_p, self.fusion_side) < 0:
-            raise ValueError("fusion weights must be nonnegative")
-        if max(self.fusion_g, self.fusion_p, self.fusion_side) <= 0:
-            raise ValueError("at least one fusion weight must be positive")
+        _check_fusion_weights(np.array([self.fusion_g, self.fusion_p, self.fusion_side]))
         for m in self.modules:
             if m.tap not in self.backbone.taps:
                 raise ValueError(f"module tap {m.tap!r} is not a backbone tap")
@@ -162,10 +160,6 @@ class ModelSpec:
     @property
     def classes(self) -> int:
         return self.modules[0].classes
-
-    def tap_channels(self, tap: str) -> int:
-        shapes = feature_shapes(self.backbone, self.in_channels, self.input_size)
-        return shapes[self.backbone.taps[tap]][0]
 
     def default_fusion_weights(self) -> np.ndarray:
         n_side = sum(1 for m in self.modules if m.with_side_branch)
@@ -214,19 +208,6 @@ class Model:
     def __init__(self, spec: ModelSpec, params: dict[str, Tensor]):
         self.spec = spec
         self.params = params
-
-    def parameters(self) -> dict[str, Tensor]:
-        return self.params
-
-    def set_requires_grad(self, flag: bool) -> None:
-        for p in self.params.values():
-            p.requires_grad = flag
-
-    def rf(self, tap: str) -> ReceptiveFieldInfo:
-        return receptive_field(self.spec.backbone, tap)
-
-    def clone(self) -> "Model":
-        return Model(self.spec, {k: v.copy() for k, v in self.params.items()})
 
     @property
     def dtype(self):
@@ -303,6 +284,8 @@ def _check_input(model: Model, image) -> Tensor:
         raise ValueError(f"input shape {x.shape} does not match spec {want}")
     if x.dtype != model.dtype:
         x = x.astype(model.dtype)
+    if not np.isfinite(x.data).all():
+        raise ValueError(f"input image has NaN or inf values at model dtype {x.dtype}")
     return x
 
 
@@ -378,14 +361,20 @@ def logit_streams(outputs: StreamOutputs) -> list[Tensor]:
     return [outputs.g_logits] + list(outputs.p_logits) + list(outputs.side_logits)
 
 
+def _check_fusion_weights(w: np.ndarray) -> None:
+    if not np.isfinite(w).all():
+        raise ValueError(f"fusion weights must be finite, got {w}")
+    if w.min() < 0 or w.max() <= 0:
+        raise ValueError("fusion weights must be nonnegative with at least one positive")
+
+
 def fuse_predictions(outputs: StreamOutputs, weights) -> tuple[Tensor, np.ndarray | int]:
     """Weighted sum of stream logits and its argmax class (ties -> smallest index)."""
     streams = logit_streams(outputs)
     w = np.asarray(weights, dtype=np.float64)
     if w.shape != (len(streams),):
         raise ValueError(f"expected {len(streams)} fusion weights, got shape {w.shape}")
-    if w.min() < 0 or w.max() <= 0:
-        raise ValueError("fusion weights must be nonnegative with at least one positive")
+    _check_fusion_weights(w)
     fused = sum(wi * s.data for wi, s in zip(w, streams))
     cls = fused.argmax(axis=-1)
     return Tensor(fused), (int(cls) if fused.ndim == 1 else cls)

@@ -1,10 +1,12 @@
 """Differentiable kernels: convolution, pooling, affine maps, and losses.
 
-Every kernel takes the shapes listed in its docstring and additionally
-accepts one extra leading batch axis (the unbatched case is the batched
-case with that axis absent).  Kernels are pure functions of their inputs;
-they record onto the thread's active GradTape only when one is active and
-some input requires grad.
+Rank contract: each kernel's docstring gives its unbatched shapes, and
+every kernel also accepts one optional leading batch axis N, which its
+output keeps.  ``conv2d``, ``fully_connected`` and
+``softmax_cross_entropy`` view an unbatched input as a batch of one and
+reject any other rank; the pools act on trailing axes only.  Kernels are
+pure functions of their inputs; they record onto the thread's active
+GradTape only when one is active and some input requires grad.
 """
 
 from __future__ import annotations
@@ -25,6 +27,13 @@ def _record(inputs, out: Tensor, backward) -> Tensor:
 
 def _as_tensor(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(x)
+
+
+def _as_batch(a: np.ndarray, rank: int, message: str) -> np.ndarray:
+    """``a`` with one leading batch axis, added if its rank is ``rank``, not ``rank + 1``."""
+    if a.ndim not in (rank, rank + 1):
+        raise ValueError(f"{message}, got {a.shape}")
+    return a.reshape((-1,) + a.shape[a.ndim - rank :])
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
@@ -88,14 +97,7 @@ def conv2d(x: Tensor, weight: Tensor, stride: int = 1, pad: int = 0) -> Tensor:
     xd, wd = x.data, weight.data
     if wd.ndim != 4:
         raise ValueError(f"conv2d weight must be (C_out, C_in, kh, kw), got {weight.shape}")
-    if xd.ndim == 3:
-        batched = False
-        xb = xd[None]
-    elif xd.ndim == 4:
-        batched = True
-        xb = xd
-    else:
-        raise ValueError(f"conv2d input must be (C,H,W) or (N,C,H,W), got {x.shape}")
+    xb = _as_batch(xd, 3, "conv2d input must be (C,H,W) or (N,C,H,W)")
     stride, pad = int(stride), int(pad)
     if stride < 1:
         raise ValueError(f"conv2d stride must be >= 1, got {stride}")
@@ -120,12 +122,10 @@ def conv2d(x: Tensor, weight: Tensor, stride: int = 1, pad: int = 0) -> Tensor:
     # cols: (N, Ci*kh*kw, Ho*Wo)
     cols = np.ascontiguousarray(win.transpose(0, 1, 4, 5, 2, 3)).reshape(n, ci * kh * kw, ho * wo)
     wmat = wd.reshape(co, ci * kh * kw)
-    outb = np.matmul(wmat, cols).reshape(n, co, ho, wo)
-    out = Tensor(outb if batched else outb[0])
+    out = Tensor(np.matmul(wmat, cols).reshape(xd.shape[:-3] + (co, ho, wo)))
 
     def backward(g):
-        gb = g if batched else g[None]
-        gmat = gb.reshape(n, co, ho * wo)
+        gmat = g.reshape(n, co, ho * wo)
         if weight.requires_grad:
             gw = np.matmul(gmat, cols.transpose(0, 2, 1)).sum(axis=0).reshape(wd.shape)
         else:
@@ -138,9 +138,7 @@ def conv2d(x: Tensor, weight: Tensor, stride: int = 1, pad: int = 0) -> Tensor:
                     dxp[:, :, i : i + stride * ho : stride, j : j + stride * wo : stride] += dcols[
                         :, :, i, j
                     ]
-            gx = dxp[:, :, pad : pad + h, pad : pad + w] if pad else dxp
-            if not batched:
-                gx = gx[0]
+            gx = (dxp[:, :, pad : pad + h, pad : pad + w] if pad else dxp).reshape(xd.shape)
         else:
             gx = None
         return (gx, gw)
@@ -151,8 +149,10 @@ def conv2d(x: Tensor, weight: Tensor, stride: int = 1, pad: int = 0) -> Tensor:
 def maxpool2d(x: Tensor, window: int, stride: int) -> Tensor:
     """Max pooling over the two trailing spatial axes (no padding).
 
-    x: (C, H, W) -> (C, H', W') with H' = floor((H - window)/stride) + 1.
-    Ties within a window take the smallest row-major index.
+    x: (C, H, W) or (N, C, H, W) -> (..., H', W') with
+    H' = floor((H - window)/stride) + 1 and likewise for W'.  Ties within a
+    window take the smallest row-major index.  Backward sums, at each input
+    site, the gradients of the windows whose max it is.
     """
     x = _as_tensor(x)
     xd = x.data
@@ -172,25 +172,17 @@ def maxpool2d(x: Tensor, window: int, stride: int) -> Tensor:
     idx = flat.argmax(axis=-1)
     out = Tensor(np.take_along_axis(flat, idx[..., None], axis=-1)[..., 0])
 
-    exact_tiling = stride == window and h == ho * window and w == wo * window
-
     def backward(g):
         if not x.requires_grad:
             return (None,)
-        lead = xd.shape[:-2]
-        if exact_tiling:
-            # Disjoint windows: place each gradient at its window argmax.
-            dwin = np.zeros(lead + (ho, wo, window * window), dtype=xd.dtype)
-            np.put_along_axis(dwin, idx[..., None], g[..., None], axis=-1)
-            dwin = dwin.reshape(lead + (ho, wo, window, window))
-            return (np.moveaxis(dwin, -2, -3).reshape(xd.shape),)
+        # Flat index into xd of each window's argmax, then one scatter-add.
         ai, aj = np.divmod(idx, window)
         rows = np.arange(ho)[:, None] * stride + ai
         cols = np.arange(wo)[None, :] * stride + aj
-        flat_src = (rows * w + cols).reshape(lead + (-1,)).reshape(-1, ho * wo)
-        gx = np.zeros((int(np.prod(lead)) if lead else 1, h * w), dtype=xd.dtype)
-        np.add.at(gx, (np.arange(gx.shape[0])[:, None], flat_src), g.reshape(-1, ho * wo))
-        return (gx.reshape(xd.shape),)
+        planes = np.arange(xd.size // (h * w)).reshape(xd.shape[:-2] + (1, 1)) * (h * w)
+        gx = np.bincount((planes + rows * w + cols).ravel(), weights=g.ravel(),
+                         minlength=xd.size)
+        return (gx.astype(xd.dtype, copy=False).reshape(xd.shape),)
 
     return _record((x,), out, backward)
 
@@ -198,9 +190,10 @@ def maxpool2d(x: Tensor, window: int, stride: int) -> Tensor:
 def global_max_pool(x: Tensor) -> tuple[Tensor, np.ndarray]:
     """Spatially pool an entire feature map to one value per channel.
 
-    x: (N, H, W) -> values (N,) plus an int array (N, 2) of (h, w) argmax
-    locations.  Ties take the smallest row-major linear index.  Backward
-    routes each channel's full gradient to its argmax location only.
+    x: (C, H, W) -> values (C,) plus an int array (C, 2) of (h, w) argmax
+    locations; leading axes before C are kept.  Ties take the smallest
+    row-major linear index.  Backward routes each channel's full gradient
+    to its argmax location only.
     """
     x = _as_tensor(x)
     xd = x.data
@@ -224,7 +217,7 @@ def global_max_pool(x: Tensor) -> tuple[Tensor, np.ndarray]:
 
 
 def global_avg_pool(x: Tensor) -> Tensor:
-    """Mean over the spatial axes: (N, H, W) -> (N,).
+    """Mean over the spatial axes: (C, H, W) -> (C,), leading axes kept.
 
     Backward spreads each channel's gradient uniformly, 1/(H*W) per site.
     """
@@ -276,8 +269,7 @@ def fully_connected(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
         raise ValueError(
             f"fully_connected expects weight (O,D) and bias (O,), got {weight.shape}, {bias.shape}"
         )
-    if xd.ndim not in (1, 2):
-        raise ValueError(f"fully_connected input must be (D,) or (N,D), got {x.shape}")
+    xb = _as_batch(xd, 1, "fully_connected input must be (D,) or (N,D)")
     o, d = wd.shape
     if xd.shape[-1] != d:
         raise ValueError(
@@ -285,18 +277,13 @@ def fully_connected(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
         )
     if bd.shape[0] != o:
         raise ValueError(f"bias shape {bias.shape} does not match weight rows {o}")
-    out = Tensor(xd @ wd.T + bd)
+    out = Tensor((xb @ wd.T + bd).reshape(xd.shape[:-1] + (o,)))
 
     def backward(g):
-        gx = g @ wd if x.requires_grad else None
-        if weight.requires_grad:
-            gw = g.T @ xd if xd.ndim == 2 else np.outer(g, xd)
-        else:
-            gw = None
-        if bias.requires_grad:
-            gb = g.sum(axis=0) if g.ndim == 2 else g.copy()
-        else:
-            gb = None
+        gmat = g.reshape(-1, o)
+        gx = (gmat @ wd).reshape(xd.shape) if x.requires_grad else None
+        gw = gmat.T @ xb if weight.requires_grad else None
+        gb = gmat.sum(axis=0) if bias.requires_grad else None
         return (gx, gw, gb)
 
     return _record((x, weight, bias), out, backward)
@@ -312,18 +299,11 @@ def softmax_cross_entropy(logits: Tensor, label) -> Tensor:
     """
     logits = _as_tensor(logits)
     ld = logits.data
-    if ld.ndim == 1:
-        batched = False
-        lb = ld[None]
-        labels = np.asarray([label], dtype=np.int64)
-    elif ld.ndim == 2:
-        batched = True
-        lb = ld
-        labels = np.asarray(label, dtype=np.int64)
-        if labels.shape != (lb.shape[0],):
-            raise ValueError(f"labels shape {labels.shape} does not match logits {logits.shape}")
-    else:
-        raise ValueError(f"logits must be (M,) or (N,M), got {logits.shape}")
+    lb = _as_batch(ld, 1, "logits must be (M,) or (N,M)")
+    labels = np.asarray(label, dtype=np.int64)
+    if labels.shape != ld.shape[:-1]:
+        raise ValueError(f"labels shape {labels.shape} does not match logits {logits.shape}")
+    labels = labels.reshape(-1)
     n, m = lb.shape
     if labels.min() < 0 or labels.max() >= m:
         bad = labels[(labels < 0) | (labels >= m)][0]
@@ -341,7 +321,6 @@ def softmax_cross_entropy(logits: Tensor, label) -> Tensor:
             return (None,)
         p = np.exp(logp)
         p[rows, labels] -= 1.0
-        gx = p * (g / n)
-        return (gx if batched else gx[0],)
+        return ((p * (g / n)).reshape(ld.shape),)
 
     return _record((logits,), out, backward)

@@ -88,14 +88,6 @@ class Tensor:
         return f"Tensor(shape={self.shape}, dtype={self.data.dtype}{grad})"
 
 
-def zeros(shape, dtype=None) -> Tensor:
-    return Tensor(np.zeros(shape, dtype=resolve_dtype(dtype)))
-
-
-def full(shape, value, dtype=None) -> Tensor:
-    return Tensor(np.full(shape, value, dtype=resolve_dtype(dtype)))
-
-
 _ACTIVE = threading.local()
 
 

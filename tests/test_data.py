@@ -8,13 +8,11 @@ from patchbank.data import (
     SynthSpec,
     default_signatures,
     generate,
-    load_features,
     load_folder,
     render_patch,
     save_dataset,
 )
 from patchbank.imageio import save_ppm
-from patchbank.tensorio import save_tensor
 
 
 def small_spec(**overrides):
@@ -46,13 +44,6 @@ class TestGenerate:
         a, _ = generate(small_spec(seed=1))
         b, _ = generate(small_spec(seed=2))
         assert any(x.image.tobytes() != y.image.tobytes() for x, y in zip(a, b))
-
-    def test_worker_count_independent(self):
-        spec = small_spec(seed=3)
-        a_train, a_test = generate(spec, workers=1)
-        b_train, b_test = generate(spec, workers=4)
-        for a, b in zip(a_train + a_test, b_train + b_test):
-            assert a.image.tobytes() == b.image.tobytes()
 
     def test_degenerate_spec_identical_within_class(self):
         spec = small_spec(jitter=0.0, noise=0.0, background_amplitude=0.0,
@@ -133,9 +124,3 @@ class TestFolders:
         (tmp_path / "m.csv").write_text("path,label\ni.ppm,-1\n")
         with pytest.raises(ValueError, match="negative label"):
             load_folder(tmp_path / "m.csv", 16)
-
-    def test_load_features_round_trip(self, tmp_path):
-        arr = np.random.default_rng(0).standard_normal((4, 3, 3))
-        save_tensor(tmp_path / "f.dflt", arr)
-        back = load_features(tmp_path / "f.dflt")
-        assert back.data.tobytes() == arr.tobytes()

@@ -19,25 +19,28 @@ def test_sum_gradient_is_exact():
 def test_conv2d_wrt_input():
     rng = np.random.default_rng(1)
     w = Tensor(rng.standard_normal((2, 3, 3, 3)))
-    x = Tensor(rng.standard_normal((3, 5, 5)))
     f = lambda t: ops.tsum(ops.conv2d(t, w, stride=2, pad=1))
-    assert finite_difference_check(f, x, eps=EPS) < TOL
+    for shape in [(3, 5, 5), (2, 3, 5, 5)]:
+        x = Tensor(rng.standard_normal(shape))
+        assert finite_difference_check(f, x, eps=EPS) < TOL
 
 
 def test_conv2d_wrt_weight():
     rng = np.random.default_rng(2)
     x = Tensor(rng.standard_normal((3, 5, 5)))
     w = Tensor(rng.standard_normal((2, 3, 3, 3)))
-    f = lambda t: ops.tsum(ops.conv2d(x, t, stride=1, pad=1))
-    assert finite_difference_check(f, w, eps=EPS) < TOL
+    for xs in [x, Tensor(rng.standard_normal((2, 3, 5, 5)))]:
+        f = lambda t: ops.tsum(ops.conv2d(xs, t, stride=1, pad=1))
+        assert finite_difference_check(f, w, eps=EPS) < TOL
 
 
 def test_conv2d_1x1_wrt_weight():
     rng = np.random.default_rng(3)
     x = Tensor(rng.standard_normal((4, 3, 3)))
     w = Tensor(rng.standard_normal((6, 4, 1, 1)))
-    f = lambda t: ops.tsum(ops.conv2d(x, t))
-    assert finite_difference_check(f, w, eps=EPS) < TOL
+    for xs in [x, Tensor(rng.standard_normal((3, 4, 3, 3)))]:
+        f = lambda t: ops.tsum(ops.conv2d(xs, t))
+        assert finite_difference_check(f, w, eps=EPS) < TOL
 
 
 def test_global_max_pool_away_from_ties():
@@ -64,21 +67,25 @@ def test_fully_connected_all_arguments():
     x = Tensor(rng.standard_normal(8))
     w = Tensor(rng.standard_normal((3, 8)))
     b = Tensor(rng.standard_normal(3))
-    assert finite_difference_check(
-        lambda t: ops.tsum(ops.fully_connected(t, w, b)), x, eps=EPS) < TOL
-    assert finite_difference_check(
-        lambda t: ops.tsum(ops.fully_connected(x, t, b)), w, eps=EPS) < TOL
-    assert finite_difference_check(
-        lambda t: ops.tsum(ops.fully_connected(x, w, t)), b, eps=EPS) < TOL
+    for xs in [x, Tensor(rng.standard_normal((4, 8)))]:
+        assert finite_difference_check(
+            lambda t: ops.tsum(ops.fully_connected(t, w, b)), xs, eps=EPS) < TOL
+        assert finite_difference_check(
+            lambda t: ops.tsum(ops.fully_connected(xs, t, b)), w, eps=EPS) < TOL
+        assert finite_difference_check(
+            lambda t: ops.tsum(ops.fully_connected(xs, w, t)), b, eps=EPS) < TOL
 
 
 def test_softmax_cross_entropy_composed_with_fc():
     rng = np.random.default_rng(8)
     w = Tensor(rng.standard_normal((3, 8)))
     b = Tensor(rng.standard_normal(3))
-    x = Tensor(rng.standard_normal(8))
-    f = lambda t: ops.softmax_cross_entropy(ops.fully_connected(t, w, b), 2)
-    assert finite_difference_check(f, x, eps=EPS) < TOL
+    for shape, label in [((8,), 2), ((4, 8), np.array([2, 0, 1, 2]))]:
+        x = Tensor(rng.standard_normal(shape))
+        f = lambda t: ops.softmax_cross_entropy(ops.fully_connected(t, w, b), label)
+        assert finite_difference_check(f, x, eps=EPS) < TOL
+        f = lambda t: ops.softmax_cross_entropy(ops.fully_connected(x, t, b), label)
+        assert finite_difference_check(f, w, eps=EPS) < TOL
 
 
 def test_gmp_after_1x1_conv_unique_max():

@@ -289,6 +289,19 @@ class TestForward:
         with pytest.raises(ValueError, match="does not match"):
             forward(model, np.zeros((3, 32, 32)))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 1e300])
+    @pytest.mark.filterwarnings("ignore:overflow encountered in cast:RuntimeWarning")
+    def test_non_finite_input_rejected(self, bad):
+        # 1e300 is finite at f64 but overflows to inf at the f32 model's dtype.
+        model = build_model(tinynet_spec(classes=4, filters_per_class=2), seed=0, dtype="f32")
+        x = np.zeros((2, 3, 64, 64))
+        x[1, 2, 5, 7] = bad
+        for run in (lambda im: forward(model, im), lambda im: tap_features(model, im, "block3")):
+            with pytest.raises(ValueError, match="NaN or inf"):
+                run(x)
+            with pytest.raises(ValueError, match="NaN or inf"):
+                run(x[1])
+
     def test_side_logits_depend_only_on_conv6_given_tap_features(self):
         # No learnable parameter sits between the side loss and conv6:
         # perturbing any head weight leaves side logits untouched.
@@ -366,6 +379,12 @@ class TestFusePredictions:
         with pytest.raises(ValueError, match="nonnegative"):
             fuse_predictions(outs, (1.0, -1.0, 0.0))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_weight_rejected(self, bad):
+        outs = self._outputs([0.0, 1.0], [0.0, 1.0], [0.0, 1.0])
+        with pytest.raises(ValueError, match="finite"):
+            fuse_predictions(outs, (bad, 1.0, 1.0))
+
 
 class TestSpecValidation:
     def test_tap_out_of_range(self):
@@ -376,6 +395,14 @@ class TestSpecValidation:
         spec = BackboneSpec(layers=(pool(2, 2), pool(2, 2), pool(2, 2)), taps={"t": 2})
         with pytest.raises(ValueError, match="collapses"):
             feature_shapes(spec, 3, 4)
+
+    @pytest.mark.parametrize("field", ["fusion_g", "fusion_p", "fusion_side"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_fusion_weight_rejected(self, field, bad):
+        base = tinynet_spec(classes=4)
+        with pytest.raises(ValueError, match="finite"):
+            ModelSpec(backbone=base.backbone, modules=base.modules, input_size=64,
+                      **{field: bad})
 
     def test_module_needs_two_classes(self):
         with pytest.raises(ValueError, match="classes"):

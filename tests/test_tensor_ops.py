@@ -57,6 +57,19 @@ def maxpool_reference(x, window, stride):
     return out
 
 
+def maxpool_backward_reference(x, g, window, stride):
+    """Route each window's gradient to its first row-major argmax, one window at a time."""
+    c, h, w = x.shape
+    gx = np.zeros((c, h, w))
+    for ch in range(c):
+        for i in range(g.shape[1]):
+            for j in range(g.shape[2]):
+                patch = x[ch, i * stride : i * stride + window, j * stride : j * stride + window]
+                a, b = np.unravel_index(np.argmax(patch), patch.shape)
+                gx[ch, i * stride + a, j * stride + b] += g[ch, i, j]
+    return gx
+
+
 def softmax_ce_reference(logits, label):
     """Arbitrary-precision cross entropy via mpmath."""
     import mpmath
@@ -245,15 +258,30 @@ class TestMaxPool2d:
         assert out.data[0, 0, 0] == 5.0
 
     @pytest.mark.parametrize("window,stride,shape", [(2, 2, (3, 6, 8)), (3, 2, (2, 7, 7)),
-                                                     (2, 1, (1, 4, 5)), (3, 3, (2, 9, 6))])
+                                                     (2, 1, (1, 4, 5)), (3, 3, (2, 9, 6)),
+                                                     (2, 2, (2, 7, 7))])
     def test_matches_window_scan(self, window, stride, shape):
         rng = np.random.default_rng(window * 100 + stride)
         x = rng.standard_normal(shape)
         out = ops.maxpool2d(Tensor(x), window, stride)
         np.testing.assert_array_equal(out.data, maxpool_reference(x, window, stride))
 
+        # Backward, batched and unbatched, against the per-window loop.
+        g = rng.standard_normal((2,) + out.shape)
+        xs = np.stack([x, rng.standard_normal(shape)])
+        want = np.stack([maxpool_backward_reference(xs[i], g[i], window, stride) for i in range(2)])
+        for dtype, rtol in ((np.float64, 0.0), (np.float32, 1e-6)):
+            for xin, gin, ref in ((xs, g, want), (xs[0], g[0], want[0])):
+                t = Tensor(xin, requires_grad=True, dtype=dtype)
+                with GradTape() as tape:
+                    y = ops.maxpool2d(t, window, stride)
+                tape.backward(y, seed=gin.astype(dtype))
+                gx = tape.grad(t).data
+                assert gx.dtype == dtype
+                np.testing.assert_allclose(gx, ref, rtol=rtol, atol=0)
+
     def test_backward_matches_grad_support(self):
-        # Overlapping windows exercise the scatter-add path.
+        # Overlapping windows: one site can be the max of several windows.
         rng = np.random.default_rng(5)
         x = Tensor(rng.standard_normal((2, 5, 5)), requires_grad=True)
         with GradTape() as tape:
