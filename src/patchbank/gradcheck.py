@@ -23,8 +23,11 @@ def finite_difference_check(f, x: Tensor, eps: float = 1e-4, max_coords: int | N
         y = f(probe)
     if y.data.shape != ():
         raise ValueError(f"f must return a rank-0 tensor, got shape {y.shape}")
-    tape.backward(y)
-    g = tape.grad(probe)
+    # An f that ignores x records nothing, and its gradient is zero.
+    g = None
+    if y.requires_grad:
+        tape.backward(y)
+        g = tape.grad(probe)
     analytic = np.zeros_like(probe.data) if g is None else g.data
 
     n = probe.data.size

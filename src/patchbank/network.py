@@ -197,9 +197,9 @@ class StreamOutputs:
     g_logits: Tensor
     p_logits: list[Tensor]
     side_logits: list[Tensor]
-    pool6: list[Tensor]
-    peak_values: list[Tensor]      # GMP values of each conv6 map
-    peak_argmax: list[np.ndarray]  # (..., k*M, 2) int (h, w) per filter
+    pool6: list[Tensor]            # (..., k*M) P-stream input: the GMP or GAP of each conv6 map
+    peak_values: list[Tensor]      # (..., k*M) GMP of each conv6 map; pool6's own tensor under GMP
+    peak_argmax: list[np.ndarray]  # (..., k*M, 2) int (h, w) of each conv6 map's peak
 
 
 class Model:
@@ -318,7 +318,11 @@ def forward(model: Model, image) -> StreamOutputs:
     """Run every stream on one image (C,S,S) or a batch (N,C,S,S).
 
     Deterministic; also records the argmax location of every conv6 filter
-    response for later patch visualization.
+    response for later patch visualization.  Under ``pooling="gmp"`` conv6
+    and its global max pooling run fused as ``ops.bank_peaks``, so the
+    (k*M, H, W) response maps are never stored; ``pooling="gap"`` needs
+    the dense maps for their mean, so it runs ``conv2d`` and then both
+    global pools.
     """
     spec = model.spec
     x = _check_input(model, image)
@@ -340,9 +344,14 @@ def forward(model: Model, image) -> StreamOutputs:
     p_logits, side_logits, pool6, peaks, argmaxes = [], [], [], [], []
     for mi, mod in enumerate(spec.modules):
         tap_feat = taps[spec.backbone.taps[mod.tap]]
-        conv6 = ops.conv2d(tap_feat, model.params[f"module{mi}.conv6.weight"])
-        peak, argmax = ops.global_max_pool(conv6)
-        vec = peak if spec.pooling == "gmp" else ops.global_avg_pool(conv6)
+        w6 = model.params[f"module{mi}.conv6.weight"]
+        if spec.pooling == "gmp":
+            peak, argmax = ops.bank_peaks(tap_feat, w6)
+            vec = peak
+        else:
+            conv6 = ops.conv2d(tap_feat, w6)
+            peak, argmax = ops.global_max_pool(conv6)
+            vec = ops.global_avg_pool(conv6)
         p_logits.append(
             ops.fully_connected(vec, model.params[f"module{mi}.phead.weight"],
                                 model.params[f"module{mi}.phead.bias"])

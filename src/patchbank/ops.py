@@ -2,7 +2,7 @@
 
 Rank contract: each kernel's docstring gives its unbatched shapes, and
 every kernel also accepts one optional leading batch axis N, which its
-output keeps.  ``conv2d``, ``fully_connected`` and
+output keeps.  ``conv2d``, ``bank_peaks``, ``fully_connected`` and
 ``softmax_cross_entropy`` view an unbatched input as a batch of one and
 reject any other rank; the pools act on trailing axes only.  Kernels are
 pure functions of their inputs; they record onto the thread's active
@@ -144,6 +144,62 @@ def conv2d(x: Tensor, weight: Tensor, stride: int = 1, pad: int = 0) -> Tensor:
         return (gx, gw)
 
     return _record((x, weight), out, backward)
+
+
+def bank_peaks(x: Tensor, weight: Tensor) -> tuple[Tensor, np.ndarray]:
+    """Global max pooling of a 1x1 filter bank's responses, one image at a time.
+
+    x: (C, H, W), weight: (J, C, 1, 1) -> values (J,) plus an int array
+    (J, 2) of (h, w) argmax locations, as ``global_max_pool(conv2d(x,
+    weight))`` returns them, byte for byte: each image runs the same
+    (J, C) x (C, H*W) product that ``conv2d`` does, so only one image's
+    (J, H*W) response map exists at a time.  Ties take the smallest
+    row-major index and NaN propagates.  Backward touches the peak sites
+    only: filter j's gradient sums g[n, j] * x[n, :, peak(n, j)], and x's
+    scatters g[n, j] * weight[j] back to each peak.
+    """
+    x, weight = _as_tensor(x), _as_tensor(weight)
+    xd, wd = x.data, weight.data
+    if wd.ndim != 4 or wd.shape[2:] != (1, 1):
+        raise ValueError(f"bank_peaks weight must be (J, C, 1, 1), got {weight.shape}")
+    xb = _as_batch(xd, 3, "bank_peaks input must be (C,H,W) or (N,C,H,W)")
+    nf, ci = wd.shape[:2]
+    n, c, h, w = xb.shape
+    if c != ci:
+        raise ValueError(
+            f"bank_peaks channel mismatch: input shape {x.shape} has {c} channels "
+            f"but weight shape {weight.shape} expects {ci}"
+        )
+    cols = xb.reshape(n, c, h * w)
+    wmat = wd.reshape(nf, c)
+    idx = np.empty((n, nf), dtype=np.intp)
+    vals = np.empty((n, nf), dtype=np.result_type(xd, wd))
+    filters = np.arange(nf)
+    for i in range(n):
+        resp = wmat @ cols[i]
+        idx[i] = resp.argmax(axis=1)
+        vals[i] = resp[filters, idx[i]]
+    lead = xd.shape[:-3]
+    argmax = np.stack(np.divmod(idx, w), axis=-1).reshape(lead + (nf, 2))
+    out = Tensor(vals.reshape(lead + (nf,)))
+
+    def backward(g):
+        gmat = g.reshape(n, nf, 1)
+        if weight.requires_grad:
+            # x at each filter's peak: (N, J, C).
+            at_peak = cols.transpose(0, 2, 1)[np.arange(n)[:, None], idx]
+            gw = (gmat * at_peak).sum(axis=0).reshape(wd.shape)
+        else:
+            gw = None
+        if x.requires_grad:
+            sites = (np.arange(n * c).reshape(n, 1, c) * (h * w) + idx[:, :, None]).ravel()
+            gx = np.bincount(sites, weights=(gmat * wmat).ravel(), minlength=xd.size)
+            gx = gx.astype(xd.dtype, copy=False).reshape(xd.shape)
+        else:
+            gx = None
+        return (gx, gw)
+
+    return _record((x, weight), out, backward), argmax
 
 
 def maxpool2d(x: Tensor, window: int, stride: int) -> Tensor:
@@ -293,14 +349,17 @@ def softmax_cross_entropy(logits: Tensor, label) -> Tensor:
     """Negative log softmax probability of the true class, as a scalar.
 
     logits: (M,) with an int label, or (N, M) with an int array of labels
-    (the batched form returns the mean loss).  Stabilized by subtracting
+    (the batched form returns the mean loss); labels of any other dtype
+    are rejected, not truncated.  Stabilized by subtracting
     the per-row maximum before exponentiation; the gradient is
     softmax(logits) - onehot(label), scaled by 1/N in the batched form.
     """
     logits = _as_tensor(logits)
     ld = logits.data
     lb = _as_batch(ld, 1, "logits must be (M,) or (N,M)")
-    labels = np.asarray(label, dtype=np.int64)
+    labels = np.asarray(label)
+    if not np.issubdtype(labels.dtype, np.integer):
+        raise ValueError(f"labels must have an integer dtype, got {labels.dtype}")
     if labels.shape != ld.shape[:-1]:
         raise ValueError(f"labels shape {labels.shape} does not match logits {logits.shape}")
     labels = labels.reshape(-1)

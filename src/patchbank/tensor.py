@@ -132,7 +132,16 @@ class GradTape:
         return len(self._records)
 
     def backward(self, output: Tensor, seed=None) -> None:
-        """Propagate gradients from ``output`` back through the records."""
+        """Propagate gradients from ``output`` back through the records.
+
+        ``output`` must be the output of an operation recorded on this
+        tape; anything else would leave every gradient None.
+        """
+        if not any(out is output for _, out, _ in self._records):
+            raise ValueError(
+                f"backward from {output!r}, which is not the output of an operation "
+                "recorded on this tape"
+            )
         self._grads.clear()
         if seed is None:
             g0 = np.ones_like(output.data)

@@ -96,6 +96,17 @@ def test_gmp_after_1x1_conv_unique_max():
     assert finite_difference_check(f, w, eps=EPS) < TOL
 
 
+def test_bank_peaks_away_from_ties():
+    rng = np.random.default_rng(14)
+    w = Tensor(rng.standard_normal((6, 3, 1, 1)))
+    for shape, label in [((3, 4, 4), 0), ((2, 3, 4, 4), np.array([0, 4]))]:
+        x = Tensor(rng.standard_normal(shape))  # continuous values: ties have measure zero
+        f = lambda t: ops.softmax_cross_entropy(ops.bank_peaks(t, w)[0], label)
+        assert finite_difference_check(f, x, eps=EPS) < TOL
+        f = lambda t: ops.softmax_cross_entropy(ops.bank_peaks(x, t)[0], label)
+        assert finite_difference_check(f, w, eps=EPS) < TOL
+
+
 def test_relu_away_from_kink():
     x = Tensor(np.array([-1.5, 2.0, 0.7, -0.3]))
     f = lambda t: ops.tsum(ops.relu(t))
@@ -127,3 +138,8 @@ def test_sampled_coordinate_subset():
 def test_rejects_non_scalar_objective():
     with pytest.raises(ValueError, match="rank-0"):
         finite_difference_check(lambda t: ops.relu(t), Tensor(np.ones(3)))
+
+
+def test_objective_that_ignores_x_has_zero_gradient():
+    c = Tensor(np.arange(3.0))
+    assert finite_difference_check(lambda t: ops.tsum(c), Tensor(np.ones(3)), eps=EPS) == 0.0

@@ -14,6 +14,7 @@ from patchbank.network import (
     feature_shapes,
     forward,
     fuse_predictions,
+    logit_streams,
     pool,
     receptive_field,
     relu_layer,
@@ -21,7 +22,8 @@ from patchbank.network import (
     tinynet_spec,
     vgg16_backbone,
 )
-from patchbank.tensor import Tensor
+from patchbank import ops
+from patchbank.tensor import GradTape, Tensor
 
 
 # ------------------------------------------------------------ receptive field
@@ -220,6 +222,48 @@ def hand_trace(x, w1, w6, wp, bp, wg, bg):
     return g, p, side, pool6
 
 
+def two_module_spec():
+    """tinynet with a patch module at block3 and another at block4, GMP pooling."""
+    spec = tinynet_spec(classes=4, filters_per_class=3)
+    modules = (spec.modules[0], DFLModuleSpec(tap="block4", classes=4, filters_per_class=2))
+    return ModelSpec(backbone=spec.backbone, modules=modules, input_size=spec.input_size)
+
+
+def unfused_gmp_forward(model, x):
+    """The GMP forward with conv6 and its global max pooling as two ops (g_hidden=0).
+
+    Returns the logit streams in fusion order, pool6 and peak_argmax.
+    """
+    spec, params = model.spec, model.params
+    cur, taps = Tensor(x, dtype=model.dtype), {}
+    for i, layer in enumerate(spec.backbone.layers):
+        if layer.kind == "conv":
+            cur = ops.conv2d(cur, params[f"backbone.{i}.weight"], layer.stride, layer.pad)
+        elif layer.kind == "pool":
+            cur = ops.maxpool2d(cur, layer.kernel, layer.stride)
+        else:
+            cur = ops.relu(cur)
+        taps[i] = cur
+    g = ops.fully_connected(ops.global_avg_pool(cur), params["ghead.weight"], params["ghead.bias"])
+    p, side, pool6, argmaxes = [], [], [], []
+    for mi, mod in enumerate(spec.modules):
+        conv6 = ops.conv2d(taps[spec.backbone.taps[mod.tap]], params[f"module{mi}.conv6.weight"])
+        peak, argmax = ops.global_max_pool(conv6)
+        p.append(ops.fully_connected(peak, params[f"module{mi}.phead.weight"],
+                                     params[f"module{mi}.phead.bias"]))
+        side.append(ops.cross_channel_avg_pool(peak, mod.filters_per_class))
+        pool6.append(peak)
+        argmaxes.append(argmax)
+    return [g, *p, *side], pool6, argmaxes
+
+
+def summed_loss(streams, labels):
+    loss = ops.softmax_cross_entropy(streams[0], labels)
+    for s in streams[1:]:
+        loss = ops.add(loss, ops.softmax_cross_entropy(s, labels))
+    return loss
+
+
 class TestForward:
     def test_shapes_contract(self):
         model = build_model(tinynet_spec(classes=8, filters_per_class=4), seed=0)
@@ -273,6 +317,41 @@ class TestForward:
         np.testing.assert_array_equal(a.p_logits[0].data, b.p_logits[0].data)
         np.testing.assert_array_equal(a.pool6[0].data, b.pool6[0].data)
         np.testing.assert_array_equal(a.peak_argmax[0], b.peak_argmax[0])
+
+    @pytest.mark.parametrize("dtype", ["f32", "f64"])
+    @pytest.mark.parametrize("shape", [(3, 64, 64), (2, 3, 64, 64)])
+    def test_gmp_readout_equals_conv2d_then_global_max_pool(self, dtype, shape):
+        model = build_model(two_module_spec(), seed=11, dtype=dtype)
+        x = np.random.default_rng(12).random(shape)
+        with GradTape() as fused_tape:
+            out = forward(model, x)
+        with GradTape() as ref_tape:
+            streams, pool6, argmaxes = unfused_gmp_forward(model, x)
+        # conv6 and its global max pooling are one record instead of two.
+        assert len(fused_tape) == len(ref_tape) - len(model.spec.modules)
+        for got, want in zip(logit_streams(out), streams, strict=True):
+            assert got.dtype == want.dtype and got.data.tobytes() == want.data.tobytes()
+        for mi in range(len(model.spec.modules)):
+            assert out.pool6[mi].data.tobytes() == pool6[mi].data.tobytes()
+            assert out.peak_values[mi] is out.pool6[mi]
+            np.testing.assert_array_equal(out.peak_argmax[mi], argmaxes[mi])
+
+    @pytest.mark.parametrize("shape", [(3, 64, 64), (2, 3, 64, 64)])
+    def test_gmp_gradients_match_conv2d_then_global_max_pool(self, shape):
+        model = build_model(two_module_spec(), seed=13, dtype="f64")
+        x = np.random.default_rng(14).random(shape)
+        labels = np.array([1, 3]) if len(shape) == 4 else 2
+        with GradTape() as fused_tape:
+            fused_loss = summed_loss(logit_streams(forward(model, x)), labels)
+        fused_tape.backward(fused_loss)
+        with GradTape() as ref_tape:
+            ref_loss = summed_loss(unfused_gmp_forward(model, x)[0], labels)
+        ref_tape.backward(ref_loss)
+        assert fused_loss.data.tobytes() == ref_loss.data.tobytes()
+        for name, param in model.params.items():
+            got, want = fused_tape.grad(param).data, ref_tape.grad(param).data
+            # Only the order of the sums into conv6's input differs.
+            assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max(), name
 
     def test_batched_matches_per_sample(self):
         model = build_model(tinynet_spec(classes=4, filters_per_class=2), seed=1)

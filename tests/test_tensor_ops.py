@@ -184,6 +184,79 @@ class TestGlobalMaxPool:
         np.testing.assert_array_equal(g, expected)
 
 
+class TestBankPeaks:
+    """``bank_peaks`` is ``global_max_pool(conv2d(x, w))`` for a 1x1 w, byte for byte."""
+
+    @staticmethod
+    def _assert_same_as_composition(x, w):
+        vals, argmax = ops.bank_peaks(Tensor(x), Tensor(w))
+        ref_vals, ref_argmax = ops.global_max_pool(ops.conv2d(Tensor(x), Tensor(w)))
+        assert vals.dtype == ref_vals.dtype and vals.shape == ref_vals.shape
+        assert vals.data.tobytes() == ref_vals.data.tobytes()
+        assert argmax.dtype == ref_argmax.dtype and argmax.shape == ref_argmax.shape
+        np.testing.assert_array_equal(argmax, ref_argmax)
+        return vals, argmax
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("shape", [(6, 5, 7), (3, 6, 5, 7)])
+    def test_byte_equal_to_conv2d_then_global_max_pool(self, dtype, shape):
+        rng = np.random.default_rng(31)
+        x = rng.standard_normal(shape).astype(dtype)
+        w = rng.standard_normal((40, 6, 1, 1)).astype(dtype)
+        vals, argmax = self._assert_same_as_composition(x, w)
+        assert vals.shape == shape[:-3] + (40,)
+        assert argmax.shape == shape[:-3] + (40, 2)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_constant_map_ties_to_first_site(self, dtype):
+        x = np.full((2, 3, 4, 5), 0.5, dtype=dtype)
+        w = np.random.default_rng(32).standard_normal((4, 3, 1, 1)).astype(dtype)
+        _, argmax = self._assert_same_as_composition(x, w)
+        assert not argmax.any()
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_nan_site_propagates(self, dtype):
+        rng = np.random.default_rng(33)
+        x = rng.standard_normal((2, 3, 4, 5)).astype(dtype)
+        x[1, 2, 3, 1] = np.nan
+        w = rng.standard_normal((4, 3, 1, 1)).astype(dtype)
+        vals, argmax = self._assert_same_as_composition(x, w)
+        assert np.isnan(vals.data[1]).all() and np.isfinite(vals.data[0]).all()
+        assert (argmax[1] == (3, 1)).all()
+
+    def test_backward_touches_peak_sites_only(self):
+        rng = np.random.default_rng(34)
+        x = Tensor(rng.standard_normal((2, 3, 4, 5)), requires_grad=True)
+        w = Tensor(rng.standard_normal((6, 3, 1, 1)), requires_grad=True)
+        g = rng.standard_normal((2, 6))
+        with GradTape() as tape:
+            vals, argmax = ops.bank_peaks(x, w)
+        tape.backward(vals, seed=g)
+        gx, gw = np.zeros(x.shape), np.zeros(w.shape)
+        for n in range(2):
+            for j in range(6):
+                h, ww = argmax[n, j]
+                gx[n, :, h, ww] += g[n, j] * w.data[j, :, 0, 0]
+                gw[j, :, 0, 0] += g[n, j] * x.data[n, :, h, ww]
+        np.testing.assert_allclose(tape.grad(x).data, gx, rtol=1e-14, atol=1e-15)
+        np.testing.assert_allclose(tape.grad(w).data, gw, rtol=1e-14, atol=1e-15)
+
+    def test_non_1x1_weight_rejected(self):
+        with pytest.raises(ValueError, match=r"\(J, C, 1, 1\)"):
+            ops.bank_peaks(Tensor(np.zeros((3, 4, 4))), Tensor(np.zeros((2, 3, 3, 3))))
+        with pytest.raises(ValueError, match=r"\(J, C, 1, 1\)"):
+            ops.bank_peaks(Tensor(np.zeros((3, 4, 4))), Tensor(np.zeros((2, 3))))
+
+    def test_channel_mismatch_names_both_shapes(self):
+        with pytest.raises(ValueError, match=r"(?s)\(3, 4, 4\).*\(2, 5, 1, 1\)"):
+            ops.bank_peaks(Tensor(np.zeros((3, 4, 4))), Tensor(np.zeros((2, 5, 1, 1))))
+
+    @pytest.mark.parametrize("shape", [(4, 4), (1, 2, 4, 4, 4)])
+    def test_bad_rank_rejected(self, shape):
+        with pytest.raises(ValueError, match=r"\(C,H,W\) or \(N,C,H,W\)"):
+            ops.bank_peaks(Tensor(np.zeros(shape)), Tensor(np.zeros((2, 4, 1, 1))))
+
+
 class TestGlobalAvgPool:
     def test_constant_map(self):
         out = ops.global_avg_pool(Tensor(np.full((2, 3, 3), 0.25)))
@@ -358,6 +431,18 @@ class TestSoftmaxCrossEntropy:
         with pytest.raises(ValueError, match="out of range"):
             ops.softmax_cross_entropy(Tensor(np.zeros(3)), -1)
 
+    @pytest.mark.parametrize("label", [1.7, 1.0, np.array([0.0, 1.0]), True])
+    def test_non_integer_labels_rejected(self, label):
+        logits = Tensor(np.zeros((2, 3)) if np.ndim(label) else np.zeros(3))
+        with pytest.raises(ValueError, match="integer dtype"):
+            ops.softmax_cross_entropy(logits, label)
+
+    def test_integer_label_dtypes_accepted(self):
+        logits = Tensor(np.random.default_rng(14).standard_normal((2, 3)))
+        ref = ops.softmax_cross_entropy(logits, np.array([2, 0])).data
+        for dtype in (np.int8, np.uint16, np.int32):
+            assert ops.softmax_cross_entropy(logits, np.array([2, 0], dtype=dtype)).data == ref
+
     def test_gradient_is_softmax_minus_onehot(self):
         rng = np.random.default_rng(12)
         logits = Tensor(rng.standard_normal(4), requires_grad=True)
@@ -412,6 +497,17 @@ class TestGradTape:
             loss = ops.tsum(ops.relu(x))
         tape.backward(loss)
         assert tape.grad(x).shape == x.shape
+
+    def test_backward_from_tensor_not_on_tape_rejected(self):
+        x = Tensor(np.array([1.0, 2.0]), requires_grad=True)
+        outside = ops.tsum(x)
+        with GradTape() as tape:
+            ops.tsum(ops.scale(x, 2.0))
+        with GradTape() as other:
+            elsewhere = ops.tsum(x)
+        for y in (outside, elsewhere, x):
+            with pytest.raises(ValueError, match="not the output of an operation recorded"):
+                tape.backward(y)
 
     def test_nested_tapes_rejected(self):
         with GradTape():
