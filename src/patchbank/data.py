@@ -234,9 +234,16 @@ def load_folder(manifest_path, image_size: int) -> list[Sample]:
         for row in reader:
             if not row:
                 continue
-            path, label = row[0], int(row[1])
+            path = row[0]
+            where = f"{manifest_path}, row {reader.line_num}, path {path!r}"
+            if len(row) < 2:
+                raise ValueError(f"{where}: expected 'path,label', got {row}")
+            try:
+                label = int(row[1])
+            except ValueError:
+                raise ValueError(f"{where}: label {row[1]!r} is not an integer") from None
             if label < 0:
-                raise ValueError(f"{manifest_path}: negative label {label} for {path}")
+                raise ValueError(f"{where}: negative label {label}")
             img = load_ppm(root / path)
             samples.append(Sample(image=_resize_nearest(img, image_size), label=label))
     return samples

@@ -36,10 +36,18 @@ def _parse_header(raw: bytes, magic: bytes, path) -> tuple[int, int, int]:
         token, pos = _read_token(raw, pos)
         fields.append(int(token))
     width, height, maxval = fields
+    if width < 1 or height < 1:
+        raise ValueError(f"{path}: image width and height must be >= 1, got {width}x{height}")
     if maxval != 255:
         raise ValueError(f"{path}: only maxval 255 is supported, got {maxval}")
     # Exactly one whitespace byte separates the header from the payload.
     return width, height, pos + 1
+
+
+def _check_finite(path, image: np.ndarray) -> None:
+    # The u8 cast would write NaN as 0 and inf as 255 without an error.
+    if not np.isfinite(image).all():
+        raise ValueError(f"{path}: image has NaN or inf values")
 
 
 def load_ppm(path) -> np.ndarray:
@@ -59,6 +67,7 @@ def save_ppm(path, image: np.ndarray) -> None:
     image = np.asarray(image)
     if image.ndim != 3 or image.shape[0] != 3:
         raise ValueError(f"expected a (3, H, W) image, got shape {image.shape}")
+    _check_finite(path, image)
     pixels = np.clip(np.rint(image * 255.0), 0, 255).astype(np.uint8)
     h, w = pixels.shape[1:]
     header = f"P6\n{w} {h}\n255\n".encode("ascii")
@@ -85,6 +94,7 @@ def save_pgm(path, image: np.ndarray, normalize: bool = False) -> None:
     image = np.asarray(image, dtype=np.float64)
     if image.ndim != 2:
         raise ValueError(f"expected an (H, W) image, got shape {image.shape}")
+    _check_finite(path, image)
     if normalize:
         lo, hi = float(image.min()), float(image.max())
         image = (image - lo) / (hi - lo) if hi > lo else np.zeros_like(image)

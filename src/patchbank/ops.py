@@ -206,9 +206,12 @@ def maxpool2d(x: Tensor, window: int, stride: int) -> Tensor:
     """Max pooling over the two trailing spatial axes (no padding).
 
     x: (C, H, W) or (N, C, H, W) -> (..., H', W') with
-    H' = floor((H - window)/stride) + 1 and likewise for W'.  Ties within a
-    window take the smallest row-major index.  Backward sums, at each input
-    site, the gradients of the windows whose max it is.
+    H' = floor((H - window)/stride) + 1 and likewise for W'.  The forward
+    computes values only, one ``np.maximum`` per window site in row-major
+    order; each output holds the bits of its window's first row-major max
+    (the first of tied values, -0.0 and +0.0 included), and NaN
+    propagates.  Backward re-derives that first max site from x and
+    routes each window's gradient to it, summing where windows overlap.
     """
     x = _as_tensor(x)
     xd = x.data
@@ -223,21 +226,35 @@ def maxpool2d(x: Tensor, window: int, stride: int) -> Tensor:
     ho = (h - window) // stride + 1
     wo = (w - window) // stride + 1
 
-    win = sliding_window_view(xd, (window, window), axis=(-2, -1))[..., ::stride, ::stride, :, :]
-    flat = np.ascontiguousarray(win).reshape(xd.shape[:-2] + (ho, wo, window * window))
-    idx = flat.argmax(axis=-1)
-    out = Tensor(np.take_along_axis(flat, idx[..., None], axis=-1)[..., 0])
+    # sites[k]: the input value at row-major offset k of every window, (..., Ho, Wo).
+    sites = [xd[..., i : i + stride * (ho - 1) + 1 : stride, j : j + stride * (wo - 1) + 1 : stride]
+             for i in range(window) for j in range(window)]
+    vals = sites[0].copy()
+    for site in sites[1:]:
+        # On a tie np.maximum returns its second operand, the earlier site.
+        np.maximum(site, vals, out=vals)
+    out = Tensor(vals)
 
     def backward(g):
         if not x.requires_grad:
             return (None,)
-        # Flat index into xd of each window's argmax, then one scatter-add.
-        ai, aj = np.divmod(idx, window)
-        rows = np.arange(ho)[:, None] * stride + ai
-        cols = np.arange(wo)[None, :] * stride + aj
-        planes = np.arange(xd.size // (h * w)).reshape(xd.shape[:-2] + (1, 1)) * (h * w)
-        gx = np.bincount((planes + rows * w + cols).ravel(), weights=g.ravel(),
-                         minlength=xd.size)
+        # Offset of each window's first max site: the count of leading
+        # sites that differ from the max.
+        idx = np.zeros(vals.shape, dtype=np.min_scalar_type(len(sites) - 1))
+        before = np.ones(vals.shape, dtype=bool)
+        ne = np.empty(vals.shape, dtype=bool)
+        for site in sites[:-1]:
+            before &= np.not_equal(site, vals, out=ne)
+            idx += before
+        # NaN equals nothing, so a NaN window takes its first NaN site.
+        nan = np.nonzero(np.isnan(vals))
+        for k in reversed(range(len(sites))):
+            idx[nan] = np.where(np.isnan(sites[k][nan]), k, idx[nan])
+        # Flat index into xd of each window's max site, then one scatter-add.
+        offsets = np.array([i * w + j for i in range(window) for j in range(window)])
+        corner = (np.arange(xd.size // (h * w)).reshape(xd.shape[:-2] + (1, 1)) * (h * w)
+                  + np.arange(ho)[:, None] * (stride * w) + np.arange(wo) * stride)
+        gx = np.bincount((corner + offsets[idx]).ravel(), weights=g.ravel(), minlength=xd.size)
         return (gx.astype(xd.dtype, copy=False).reshape(xd.shape),)
 
     return _record((x,), out, backward)

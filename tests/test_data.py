@@ -124,3 +124,13 @@ class TestFolders:
         (tmp_path / "m.csv").write_text("path,label\ni.ppm,-1\n")
         with pytest.raises(ValueError, match="negative label"):
             load_folder(tmp_path / "m.csv", 16)
+
+    @pytest.mark.parametrize("row,message", [("i.ppm", "expected 'path,label'"),
+                                             ("i.ppm,1.5", "label '1.5' is not an integer"),
+                                             ("i.ppm,", "label '' is not an integer")])
+    def test_malformed_row_rejected(self, tmp_path, row, message):
+        save_ppm(tmp_path / "i.ppm", np.zeros((3, 2, 2)))
+        (tmp_path / "m.csv").write_text(f"path,label\ni.ppm,0\n{row}\n")
+        # The message names the manifest, the row and the path.
+        with pytest.raises(ValueError, match=rf"m\.csv, row 3, path 'i\.ppm': {message}"):
+            load_folder(tmp_path / "m.csv", 16)

@@ -123,6 +123,22 @@ class TestPPM:
         with pytest.raises(ValueError, match="pixel bytes"):
             load_ppm(path)
 
+    @pytest.mark.parametrize("extents", [b"0 2", b"2 0", b"-2 2"])
+    def test_empty_or_negative_extent_rejected(self, tmp_path, extents):
+        path = tmp_path / "t.ppm"
+        path.write_bytes(b"P6\n" + extents + b"\n255\n" + bytes(12))
+        with pytest.raises(ValueError, match=r"t\.ppm: image width and height must be >= 1"):
+            load_ppm(path)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_pixel_rejected(self, tmp_path, bad):
+        img = np.full((3, 2, 2), 0.5)
+        img[1, 0, 1] = bad
+        path = tmp_path / "t.ppm"
+        with pytest.raises(ValueError, match="NaN or inf"):
+            save_ppm(path, img)
+        assert not path.exists()
+
 
 class TestPGM:
     def test_round_trip(self, tmp_path):
@@ -139,3 +155,20 @@ class TestPGM:
         back = load_pgm(path)
         assert back[0, 0] == 0.0
         assert back[1, 0] == 1.0
+
+    @pytest.mark.parametrize("extents", [b"0 2", b"2 0", b"-2 2"])
+    def test_empty_or_negative_extent_rejected(self, tmp_path, extents):
+        path = tmp_path / "t.pgm"
+        path.write_bytes(b"P5\n" + extents + b"\n255\n" + bytes(4))
+        with pytest.raises(ValueError, match=r"t\.pgm: image width and height must be >= 1"):
+            load_pgm(path)
+
+    @pytest.mark.parametrize("normalize", [False, True])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_pixel_rejected(self, tmp_path, bad, normalize):
+        # Normalized, one NaN made hi > lo False and the whole image black.
+        img = np.array([[0.0, 50.0], [100.0, bad]])
+        path = tmp_path / "t.pgm"
+        with pytest.raises(ValueError, match="NaN or inf"):
+            save_pgm(path, img, normalize=normalize)
+        assert not path.exists()

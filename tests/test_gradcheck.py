@@ -5,6 +5,7 @@ import pytest
 
 from patchbank import ops
 from patchbank.gradcheck import finite_difference_check
+from patchbank.network import Model, build_model, forward, tinynet_spec
 from patchbank.tensor import Tensor
 
 TOL = 1e-5
@@ -143,3 +144,25 @@ def test_rejects_non_scalar_objective():
 def test_objective_that_ignores_x_has_zero_gradient():
     c = Tensor(np.arange(3.0))
     assert finite_difference_check(lambda t: ops.tsum(c), Tensor(np.ones(3)), eps=EPS) == 0.0
+
+
+@pytest.mark.parametrize("pooling", ["gmp", "gap"])
+def test_whole_model_three_stream_loss(pooling):
+    """Every parameter of a small tinynet under L_G + L_P + 0.1 * L_side."""
+    spec = tinynet_spec(3, 2, 16, pooling=pooling, g_hidden=4)
+    model = build_model(spec, seed=0)
+    rng = np.random.default_rng(15)
+    images = rng.random((2, 3, 16, 16))
+    labels = np.array([0, 2])
+
+    def loss(params):
+        out = forward(Model(spec, params), images)
+        total = ops.add(ops.softmax_cross_entropy(out.g_logits, labels),
+                        ops.softmax_cross_entropy(out.p_logits[0], labels))
+        return ops.add(total, ops.scale(ops.softmax_cross_entropy(out.side_logits[0], labels), 0.1))
+
+    assert len(model.params) == 11
+    for i, (name, param) in enumerate(model.params.items()):
+        f = lambda t: loss({**model.params, name: t})
+        err = finite_difference_check(f, param, eps=1e-6, max_coords=4, rng=i)
+        assert err < TOL, name

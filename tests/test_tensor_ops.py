@@ -45,29 +45,39 @@ def fc_reference(x, w, b):
 
 
 def maxpool_reference(x, window, stride):
-    c, h, w = x.shape
+    """Each window's value at its first row-major argmax, one window at a time.
+
+    ``patch.flat[argmax]`` rather than ``patch.max()``: of tied -0.0 and
+    +0.0 it keeps the first, and of a NaN window its first NaN.  Any
+    leading axes are kept.
+    """
+    h, w = x.shape[-2:]
     ho = (h - window) // stride + 1
     wo = (w - window) // stride + 1
-    out = np.zeros((c, ho, wo))
-    for ch in range(c):
+    planes = x.reshape(-1, h, w)
+    out = np.zeros((len(planes), ho, wo), dtype=x.dtype)
+    for p in range(len(planes)):
         for i in range(ho):
             for j in range(wo):
-                out[ch, i, j] = x[ch, i * stride : i * stride + window,
-                                  j * stride : j * stride + window].max()
-    return out
+                patch = planes[p, i * stride : i * stride + window,
+                               j * stride : j * stride + window]
+                out[p, i, j] = patch.flat[np.argmax(patch)]
+    return out.reshape(x.shape[:-2] + (ho, wo))
 
 
 def maxpool_backward_reference(x, g, window, stride):
     """Route each window's gradient to its first row-major argmax, one window at a time."""
-    c, h, w = x.shape
-    gx = np.zeros((c, h, w))
-    for ch in range(c):
-        for i in range(g.shape[1]):
-            for j in range(g.shape[2]):
-                patch = x[ch, i * stride : i * stride + window, j * stride : j * stride + window]
+    h, w = x.shape[-2:]
+    planes, gp = x.reshape(-1, h, w), g.reshape((-1,) + g.shape[-2:])
+    gx = np.zeros(planes.shape)
+    for p in range(len(planes)):
+        for i in range(gp.shape[1]):
+            for j in range(gp.shape[2]):
+                patch = planes[p, i * stride : i * stride + window,
+                               j * stride : j * stride + window]
                 a, b = np.unravel_index(np.argmax(patch), patch.shape)
-                gx[ch, i * stride + a, j * stride + b] += g[ch, i, j]
-    return gx
+                gx[p, i * stride + a, j * stride + b] += gp[p, i, j]
+    return gx.reshape(x.shape)
 
 
 def softmax_ce_reference(logits, label):
@@ -352,6 +362,38 @@ class TestMaxPool2d:
                 gx = tape.grad(t).data
                 assert gx.dtype == dtype
                 np.testing.assert_allclose(gx, ref, rtol=rtol, atol=0)
+
+    @pytest.mark.parametrize("kind", ["rounded", "signed_zeros", "nan"])
+    @pytest.mark.parametrize("window,stride", [(2, 2), (3, 1), (3, 2)])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_first_argmax_contract(self, kind, window, stride, dtype):
+        """Ties, -0.0/+0.0 and NaN: output bytes, with or without a tape, and
+        the gradient routing follow each window's first row-major argmax."""
+        rng = np.random.default_rng([window, stride, len(kind)])
+        shape = (2, 3, 7, 8)
+        if kind == "rounded":
+            xs = np.round(rng.standard_normal(shape))  # ties, and -0.0 from small negatives
+        elif kind == "signed_zeros":
+            xs = np.where(rng.random(shape) < 0.5, -0.0, 0.0)
+            xs[rng.random(shape) < 0.1] = -1.0
+        else:
+            xs = rng.standard_normal(shape)
+            xs.flat[rng.choice(xs.size, 12, replace=False)] = np.nan
+        xs = xs.astype(dtype)
+        for x in (xs, xs[0]):
+            want = maxpool_reference(x, window, stride)
+            plain = ops.maxpool2d(Tensor(x), window, stride)
+            t = Tensor(x, requires_grad=True)
+            with GradTape() as tape:
+                taped = ops.maxpool2d(t, window, stride)
+            assert plain.data.dtype == dtype
+            assert plain.data.tobytes() == want.tobytes()
+            assert taped.data.tobytes() == want.tobytes()
+
+            g = rng.standard_normal(want.shape).astype(dtype)
+            tape.backward(taped, seed=g)
+            ref = maxpool_backward_reference(x, g, window, stride).astype(dtype)
+            assert tape.grad(t).data.tobytes() == ref.tobytes()
 
     def test_backward_matches_grad_support(self):
         # Overlapping windows: one site can be the max of several windows.
