@@ -65,19 +65,12 @@ class SynthSpec:
     neutral_patch_rate: float = 0.15  # probability the class patch is replaced
     patch_contrast: float = 1.0
     seed: int = 0
-    signatures: tuple[PatchSignature, ...] | None = None
 
     def __post_init__(self):
         if self.patch_size >= self.image_size:
             raise ValueError("patch_size must be smaller than image_size")
         if not 0.0 <= self.jitter <= 1.0:
             raise ValueError("jitter must lie in [0, 1]")
-        sigs = self.signatures or default_signatures(self.classes, self.patch_contrast)
-        if len(sigs) != self.classes:
-            raise ValueError(f"need {self.classes} signatures, got {len(sigs)}")
-        if len(set(sigs)) != len(sigs):
-            raise ValueError("signatures must be pairwise distinct")
-        object.__setattr__(self, "signatures", tuple(sigs))
 
     def tint_color(self, label: int) -> np.ndarray:
         hue = (label + 0.5) / self.classes
@@ -122,7 +115,8 @@ def _place(rng: np.random.Generator, spec: SynthSpec) -> tuple[int, int]:
     return min(max(top, 0), top_max), min(max(left, 0), top_max)
 
 
-def _render_sample(spec: SynthSpec, split: str, index: int, label: int) -> Sample:
+def _render_sample(spec: SynthSpec, signatures: tuple[PatchSignature, ...], split: str,
+                   index: int, label: int) -> Sample:
     rng = _sample_rng(spec, split, index)
     s = spec.image_size
 
@@ -162,7 +156,7 @@ def _render_sample(spec: SynthSpec, split: str, index: int, label: int) -> Sampl
 
     # The class patch is drawn last so it is never occluded.
     top, left = _place(rng, spec)
-    sig = spec.signatures[label]
+    sig = signatures[label]
     if rng.random() < spec.neutral_patch_rate:
         sig = NEUTRAL_SIGNATURE
     image[:, top : top + p, left : left + p] = render_patch(sig, p)
@@ -178,10 +172,12 @@ def generate(spec: SynthSpec) -> tuple[list[Sample], list[Sample]]:
     """Deterministic train/test splits, class-major; each sample is seeded
     independently from (seed, split, index)."""
     jobs = {"train": spec.per_class_train, "test": spec.per_class_test}
+    signatures = default_signatures(spec.classes, spec.patch_contrast)
     out: dict[str, list[Sample]] = {}
     for split, per_class in jobs.items():
         labels = [c for c in range(spec.classes) for _ in range(per_class)]
-        out[split] = [_render_sample(spec, split, i, label) for i, label in enumerate(labels)]
+        out[split] = [_render_sample(spec, signatures, split, i, label)
+                      for i, label in enumerate(labels)]
     return out["train"], out["test"]
 
 

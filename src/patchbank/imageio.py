@@ -8,7 +8,7 @@ import numpy as np
 
 
 def _read_token(data: bytes, pos: int) -> tuple[bytes, int]:
-    # Skip whitespace and '#' comments, then read one token.
+    # Skip whitespace and '#' comments, then read one token (empty at the end).
     n = len(data)
     while pos < n:
         c = data[pos : pos + 1]
@@ -22,8 +22,6 @@ def _read_token(data: bytes, pos: int) -> tuple[bytes, int]:
     start = pos
     while pos < n and not data[pos : pos + 1].isspace():
         pos += 1
-    if start == pos:
-        raise ValueError("unexpected end of header")
     return data[start:pos], pos
 
 
@@ -32,9 +30,14 @@ def _parse_header(raw: bytes, magic: bytes, path) -> tuple[int, int, int]:
         raise ValueError(f"{path}: expected {magic.decode()} image, got {raw[:2]!r}")
     pos = 2
     fields = []
-    for _ in range(3):
+    for name in ("width", "height", "maxval"):
         token, pos = _read_token(raw, pos)
-        fields.append(int(token))
+        if not token:
+            raise ValueError(f"{path}: header ends before the {name}")
+        try:
+            fields.append(int(token))
+        except ValueError:
+            raise ValueError(f"{path}: header {name} {token!r} is not an integer") from None
     width, height, maxval = fields
     if width < 1 or height < 1:
         raise ValueError(f"{path}: image width and height must be >= 1, got {width}x{height}")

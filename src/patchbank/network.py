@@ -41,6 +41,8 @@ class LayerSpec:
             raise ValueError(f"only conv layers carry out_channels: {self}")
         if self.kind == "pool" and self.pad != 0:
             raise ValueError("pool layers support pad=0 only")
+        if self.kind == "relu" and (self.kernel, self.stride, self.pad) != (1, 1, 0):
+            raise ValueError(f"relu layers take kernel=1, stride=1, pad=0: {self}")
 
 
 def conv(kernel: int, out_channels: int, stride: int = 1, pad: int = 0) -> LayerSpec:
@@ -74,12 +76,6 @@ class ReceptiveFieldInfo:
     offset: float  # image-space center of site (0, 0)
 
 
-def _layer_geometry(layer: LayerSpec) -> tuple[int, int, int]:
-    if layer.kind == "relu":
-        return 1, 1, 0
-    return layer.kernel, layer.stride, layer.pad
-
-
 def receptive_field(spec: BackboneSpec, tap: str) -> ReceptiveFieldInfo:
     """Receptive field size/stride/offset of the feature map at a tap point.
 
@@ -90,10 +86,9 @@ def receptive_field(spec: BackboneSpec, tap: str) -> ReceptiveFieldInfo:
         raise KeyError(f"unknown tap {tap!r}; available: {sorted(spec.taps)}")
     size, jump, offset = 1, 1, 0.0
     for layer in spec.layers[: spec.taps[tap] + 1]:
-        kernel, stride, padding = _layer_geometry(layer)
-        size += (kernel - 1) * jump
-        offset += ((kernel - 1) / 2.0 - padding) * jump
-        jump *= stride
+        size += (layer.kernel - 1) * jump
+        offset += ((layer.kernel - 1) / 2.0 - layer.pad) * jump
+        jump *= layer.stride
     return ReceptiveFieldInfo(size=size, stride=jump, offset=offset)
 
 
@@ -102,10 +97,8 @@ def feature_shapes(spec: BackboneSpec, in_channels: int, input_size: int) -> lis
     c, h, w = in_channels, input_size, input_size
     out = []
     for layer in spec.layers:
-        kernel, stride, padding = _layer_geometry(layer)
-        if layer.kind != "relu":
-            h = (h + 2 * padding - kernel) // stride + 1
-            w = (w + 2 * padding - kernel) // stride + 1
+        h = (h + 2 * layer.pad - layer.kernel) // layer.stride + 1
+        w = (w + 2 * layer.pad - layer.kernel) // layer.stride + 1
         if layer.kind == "conv":
             c = layer.out_channels
         if h < 1 or w < 1:
@@ -252,6 +245,11 @@ def build_model(spec: ModelSpec, bank_init=None, seed: int = 0, dtype="f64") -> 
         w6 = _uniform(rng, (km, c_tap, 1, 1), c_tap, np_dtype)
         if bank_init is not None and bank_init[mi] is not None:
             bank = bank_init[mi]
+            if (bank.classes, bank.filters_per_class) != (mod.classes, mod.filters_per_class):
+                raise ValueError(
+                    f"module {mi} bank has {bank.classes} classes x {bank.filters_per_class} "
+                    f"filters, module needs {mod.classes} x {mod.filters_per_class}"
+                )
             if bank.weight.shape != (km, c_tap, 1, 1):
                 raise ValueError(
                     f"module {mi} bank shape {bank.weight.shape} does not match "
@@ -390,8 +388,7 @@ def fuse_predictions(outputs: StreamOutputs, weights) -> tuple[Tensor, np.ndarra
 
 
 def tinynet_spec(classes: int, filters_per_class: int = 4, input_size: int = 64,
-                 pooling: str = "gmp", g_hidden: int = 0,
-                 with_side_branch: bool = True) -> ModelSpec:
+                 pooling: str = "gmp", g_hidden: int = 0) -> ModelSpec:
     """Desk-scale default backbone: four 3x3 conv blocks (16,32,64,64), 2x2
     pools after blocks 1 and 2, patch module tapped after block 3
     (receptive field 18, stride 4 on the input)."""
@@ -403,8 +400,7 @@ def tinynet_spec(classes: int, filters_per_class: int = 4, input_size: int = 64,
     )
     backbone = BackboneSpec(layers=layers, taps={"block3": 7, "block4": 9})
     module = DFLModuleSpec(tap="block3", classes=classes,
-                           filters_per_class=filters_per_class,
-                           with_side_branch=with_side_branch)
+                           filters_per_class=filters_per_class)
     return ModelSpec(backbone=backbone, modules=(module,), input_size=input_size,
                      pooling=pooling, g_hidden=g_hidden)
 
@@ -422,13 +418,3 @@ def vgg16_backbone() -> BackboneSpec:
         if bi < len(channels):
             layers.append(pool(2, 2))
     return BackboneSpec(layers=tuple(layers), taps=names)
-
-
-BUILTIN_BACKBONES = {"vgg16": vgg16_backbone}
-
-
-def builtin_backbone(name: str) -> BackboneSpec:
-    try:
-        return BUILTIN_BACKBONES[name]()
-    except KeyError:
-        raise ValueError(f"unknown builtin backbone {name!r}; have {sorted(BUILTIN_BACKBONES)}")

@@ -6,7 +6,10 @@ output keeps.  ``conv2d``, ``bank_peaks``, ``fully_connected`` and
 ``softmax_cross_entropy`` view an unbatched input as a batch of one and
 reject any other rank; the pools act on trailing axes only.  Kernels are
 pure functions of their inputs; they record onto the thread's active
-GradTape only when one is active and some input requires grad.
+GradTape only when one is active and some input requires grad.  A
+kernel's backward returns one gradient per input, or None where it can
+skip the work for an input that does not require grad; the tape keeps
+only the gradients of inputs that require grad.
 """
 
 from __future__ import annotations
@@ -44,7 +47,7 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     out = Tensor(a.data + b.data)
 
     def backward(g):
-        return (g if a.requires_grad else None, g if b.requires_grad else None)
+        return (g, g)
 
     return _record((a, b), out, backward)
 
@@ -56,7 +59,7 @@ def scale(a: Tensor, c: float) -> Tensor:
     out = Tensor(a.data * c)
 
     def backward(g):
-        return (g * c if a.requires_grad else None,)
+        return (g * c,)
 
     return _record((a,), out, backward)
 
@@ -67,8 +70,6 @@ def tsum(a: Tensor) -> Tensor:
     out = Tensor(a.data.sum())
 
     def backward(g):
-        if not a.requires_grad:
-            return (None,)
         return (np.broadcast_to(g, a.shape).astype(a.dtype, copy=True),)
 
     return _record((a,), out, backward)
@@ -80,8 +81,6 @@ def relu(x: Tensor) -> Tensor:
     out = Tensor(np.maximum(x.data, 0))
 
     def backward(g):
-        if not x.requires_grad:
-            return (None,)
         return (g * (x.data > 0),)
 
     return _record((x,), out, backward)
@@ -236,8 +235,6 @@ def maxpool2d(x: Tensor, window: int, stride: int) -> Tensor:
     out = Tensor(vals)
 
     def backward(g):
-        if not x.requires_grad:
-            return (None,)
         # Offset of each window's first max site: the count of leading
         # sites that differ from the max.
         idx = np.zeros(vals.shape, dtype=np.min_scalar_type(len(sites) - 1))
@@ -280,8 +277,6 @@ def global_max_pool(x: Tensor) -> tuple[Tensor, np.ndarray]:
     out = Tensor(vals)
 
     def backward(g):
-        if not x.requires_grad:
-            return (None,)
         gx = np.zeros_like(flat)
         np.put_along_axis(gx, idx[..., None], g[..., None], axis=-1)
         return (gx.reshape(xd.shape),)
@@ -302,8 +297,6 @@ def global_avg_pool(x: Tensor) -> Tensor:
     out = Tensor(xd.mean(axis=(-2, -1)))
 
     def backward(g):
-        if not x.requires_grad:
-            return (None,)
         return (np.broadcast_to((g / (h * w))[..., None, None], xd.shape) + 0.0,)
 
     return _record((x,), out, backward)
@@ -327,8 +320,6 @@ def cross_channel_avg_pool(x: Tensor, k: int) -> Tensor:
     out = Tensor(xd.reshape(xd.shape[:-1] + (m, k)).mean(axis=-1))
 
     def backward(g):
-        if not x.requires_grad:
-            return (None,)
         return (np.repeat(g[..., None] / k, k, axis=-1).reshape(xd.shape),)
 
     return _record((x,), out, backward)
@@ -393,8 +384,6 @@ def softmax_cross_entropy(logits: Tensor, label) -> Tensor:
     out = Tensor(np.asarray(loss, dtype=ld.dtype))
 
     def backward(g):
-        if not logits.requires_grad:
-            return (None,)
         p = np.exp(logp)
         p[rows, labels] -= 1.0
         return ((p * (g / n)).reshape(ld.shape),)

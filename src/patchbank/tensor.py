@@ -19,9 +19,7 @@ DEFAULT_DTYPE = np.float64
 
 
 def resolve_dtype(dtype) -> np.dtype:
-    """Map a dtype spec ("f32"/"f64", numpy dtype, or None) to a numpy dtype."""
-    if dtype is None:
-        return np.dtype(DEFAULT_DTYPE)
+    """Map a dtype spec ("f32"/"f64", numpy dtype, or None for f64) to a numpy dtype."""
     if isinstance(dtype, str) and dtype in DTYPES:
         return np.dtype(DTYPES[dtype])
     dt = np.dtype(dtype)
@@ -62,18 +60,11 @@ class Tensor:
         return self.data.ndim
 
     @property
-    def size(self) -> int:
-        return self.data.size
-
-    @property
     def dtype(self) -> np.dtype:
         return self.data.dtype
 
     def item(self) -> float:
         return float(self.data)
-
-    def copy(self) -> "Tensor":
-        return Tensor(self.data.copy(), requires_grad=self.requires_grad)
 
     def astype(self, dtype) -> "Tensor":
         return Tensor(self.data, requires_grad=self.requires_grad, dtype=dtype)
@@ -122,9 +113,10 @@ class GradTape:
     def record(self, inputs: tuple[Tensor, ...], output: Tensor, backward) -> None:
         """Append one operation record.
 
-        ``backward(g_out)`` must return a tuple of gradient arrays aligned
-        with ``inputs`` (None for inputs that do not require grad), each a
-        buffer the tape may keep but never mutates in place.
+        ``backward(g_out)`` must return a tuple aligned with ``inputs``
+        holding one gradient array per input, or None where computing it
+        can be skipped.  The tape keeps only the gradients of inputs that
+        require grad, each a buffer it may keep but never mutates in place.
         """
         self._records.append((tuple(inputs), output, backward))
 
@@ -158,7 +150,7 @@ class GradTape:
                 continue
             in_grads = backward(g_out)
             for tensor, g in zip(inputs, in_grads):
-                if g is None:
+                if g is None or not tensor.requires_grad:
                     continue
                 if g.shape != tensor.data.shape:
                     raise AssertionError(

@@ -25,8 +25,7 @@ def save_tensor(path, tensor) -> None:
     arr = tensor.data if isinstance(tensor, Tensor) else np.asarray(tensor)
     if arr.dtype not in _DTYPE_CODES:
         raise ValueError(f"DFLT stores float32/float64 only, got {arr.dtype}")
-    if arr.ndim > 255:
-        raise ValueError(f"too many dimensions: {arr.ndim}")
+    # NumPy caps ndim at 64, so it always fits the u8 field.
     header = MAGIC + struct.pack("<BBB", VERSION, _DTYPE_CODES[arr.dtype], arr.ndim)
     header += struct.pack(f"<{arr.ndim}I", *arr.shape)
     payload = np.ascontiguousarray(arr).astype(arr.dtype.newbyteorder("<"), copy=False)

@@ -73,3 +73,10 @@ def test_nms_bad_arguments_rejected():
         nms_select([], 1.5, 1)
     with pytest.raises(ValueError, match="max_keep"):
         nms_select([], 0.5, 0)
+
+
+@pytest.mark.parametrize("corners", [(2.0, 0.0, 1.0, 3.0), (0.0, 2.0, 3.0, 1.0)],
+                         ids=["bottom-above-top", "right-left-of-left"])
+def test_degenerate_box_rejected(corners):
+    with pytest.raises(ValueError, match="degenerate box"):
+        Box(*corners)

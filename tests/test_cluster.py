@@ -3,6 +3,7 @@
 import warnings
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -56,3 +57,12 @@ def test_emptied_cluster_is_reseeded(distinct, extra, copies, pyrng):
     assert np.isfinite(res.centers).all()
     assert set(res.centers[:, 0]) == set(values[:, 0])
     assert res.objective == 0.0
+
+
+@pytest.mark.parametrize("vectors,k,message", [
+    (np.zeros((0, 2)), 1, "kmeans requires at least one vector"),
+    (np.zeros((3, 2)), 0, "k must be >= 1, got 0"),
+], ids=["no-vectors", "k-zero"])
+def test_bad_arguments_rejected(vectors, k, message):
+    with pytest.raises(ValueError, match=message):
+        kmeans(vectors, k, seed=0)

@@ -134,3 +134,20 @@ class TestFolders:
         # The message names the manifest, the row and the path.
         with pytest.raises(ValueError, match=rf"m\.csv, row 3, path 'i\.ppm': {message}"):
             load_folder(tmp_path / "m.csv", 16)
+
+
+def _manifest(directory, text):
+    path = directory / "m.csv"
+    path.write_text(text)
+    return path
+
+
+@pytest.mark.parametrize("call,message", [
+    (lambda d: small_spec(jitter=-0.1), r"jitter must lie in \[0, 1\]"),
+    (lambda d: small_spec(jitter=1.5), r"jitter must lie in \[0, 1\]"),
+    (lambda d: load_folder(_manifest(d, "file,class\ni.ppm,0\n"), 16),
+     r"m\.csv: expected 'path,label' header, got \['file', 'class'\]"),
+], ids=["jitter-below", "jitter-above", "manifest-header"])
+def test_bad_input_rejected(tmp_path, call, message):
+    with pytest.raises(ValueError, match=message):
+        call(tmp_path)

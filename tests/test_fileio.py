@@ -61,6 +61,17 @@ class TestDFLT:
         with pytest.raises(ValueError, match="float32/float64"):
             save_tensor(tmp_path / "t.dflt", np.arange(4))
 
+    @pytest.mark.parametrize("raw,message", [
+        (b"DFLT" + bytes([2, 1, 0]) + bytes(8), "unsupported DFLT version 2"),
+        (b"DFLT" + bytes([1, 7, 0]) + bytes(8), "unknown dtype code 7"),
+        (b"DFLT" + bytes([1, 1, 2]) + bytes(4), "truncated DFLT header"),
+    ], ids=["version", "dtype-code", "header"])
+    def test_malformed_header_rejected(self, tmp_path, raw, message):
+        path = tmp_path / "t.dflt"
+        path.write_bytes(raw)
+        with pytest.raises(ValueError, match=rf"t\.dflt: {message}"):
+            load_tensor(path)
+
     @given(st.lists(st.integers(1, 5), min_size=0, max_size=4),
            st.sampled_from([np.float32, np.float64]),
            st.randoms(use_true_random=False))
@@ -172,3 +183,30 @@ class TestPGM:
         with pytest.raises(ValueError, match="NaN or inf"):
             save_pgm(path, img, normalize=normalize)
         assert not path.exists()
+
+
+def _written(path, raw):
+    path.write_bytes(raw)
+    return path
+
+
+@pytest.mark.parametrize("call,message", [
+    (lambda d: load_ppm(_written(d / "t.ppm", b"P6\nab 2\n255\n" + bytes(12))),
+     r"t\.ppm: header width b'ab' is not an integer"),
+    (lambda d: load_pgm(_written(d / "t.pgm", b"P5\nab 2\n255\n" + bytes(4))),
+     r"t\.pgm: header width b'ab' is not an integer"),
+    (lambda d: load_ppm(_written(d / "t.ppm", b"P6\n2 2.0\n255\n" + bytes(12))),
+     r"t\.ppm: header height b'2\.0' is not an integer"),
+    (lambda d: load_pgm(_written(d / "t.pgm", b"P5\n2 2\nff\n" + bytes(4))),
+     r"t\.pgm: header maxval b'ff' is not an integer"),
+    (lambda d: load_ppm(_written(d / "t.ppm", b"P6\n2 2\n")), r"t\.ppm: header ends before the maxval"),
+    (lambda d: load_pgm(_written(d / "t.pgm", b"P5 # 2 2 255")), r"t\.pgm: header ends before the width"),
+    (lambda d: load_pgm(_written(d / "t.pgm", b"P5\n2 2\n255\n\x00")),
+     r"t\.pgm: expected 4 pixel bytes, got 1"),
+    (lambda d: save_ppm(d / "t.ppm", np.zeros((1, 2, 2))), r"expected a \(3, H, W\) image"),
+    (lambda d: save_pgm(d / "t.pgm", np.zeros((1, 2, 2))), r"expected an \(H, W\) image"),
+], ids=["ppm-width", "pgm-width", "ppm-height", "pgm-maxval", "ppm-short-header",
+        "pgm-comment-only-header", "pgm-short-payload", "ppm-write-shape", "pgm-write-shape"])
+def test_bad_image_rejected(tmp_path, call, message):
+    with pytest.raises(ValueError, match=message):
+        call(tmp_path)

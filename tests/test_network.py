@@ -7,9 +7,9 @@ from patchbank.network import (
     BackboneSpec,
     DFLModuleSpec,
     FilterBank,
+    LayerSpec,
     ModelSpec,
     build_model,
-    builtin_backbone,
     conv,
     feature_shapes,
     forward,
@@ -203,6 +203,14 @@ class TestBuildModel:
         with pytest.raises(ValueError, match="does not match"):
             build_model(spec, bank_init=[bank])
 
+    def test_bank_class_layout_mismatch_rejected(self):
+        # Same (16, 64, 1, 1) weight, but 2 classes x 8 filters against 4 x 4.
+        spec = tinynet_spec(classes=4, filters_per_class=4)
+        bank = FilterBank(weight=Tensor(np.zeros((16, 64, 1, 1))), classes=2, filters_per_class=8)
+        with pytest.raises(ValueError, match="module 0 bank has 2 classes x 8 filters, "
+                                             "module needs 4 x 4"):
+            build_model(spec, bank_init=[bank])
+
     def test_filter_bank_class_ownership(self):
         bank = FilterBank(weight=Tensor(np.zeros((12, 8, 1, 1))), classes=4, filters_per_class=3)
         assert [bank.class_of_filter(j) for j in range(12)] == [0, 0, 0, 1, 1, 1, 2, 2, 2, 3, 3, 3]
@@ -363,6 +371,18 @@ class TestForward:
             np.testing.assert_allclose(batched.p_logits[0].data[i], single.p_logits[0].data,
                                        atol=1e-12)
 
+    @pytest.mark.parametrize("g_hidden", [0, 16])
+    @pytest.mark.parametrize("pooling", ["gmp", "gap"])
+    def test_f32_logits_within_bound_of_f64(self, pooling, g_hidden):
+        spec = tinynet_spec(classes=8, filters_per_class=4, input_size=64, pooling=pooling,
+                            g_hidden=g_hidden)
+        x = np.random.default_rng(11).uniform(0.0, 1.0, (4, 3, 64, 64))
+        ref = logit_streams(forward(build_model(spec, seed=2, dtype="f64"), x))
+        low = logit_streams(forward(build_model(spec, seed=2, dtype="f32"), x))
+        for a, b in zip(low, ref):
+            assert a.dtype == np.float32
+            assert (np.abs(a.data - b.data) <= 1e-5 + 1e-4 * np.abs(b.data)).all()
+
     def test_input_size_mismatch_rejected(self):
         model = build_model(tinynet_spec(classes=4, filters_per_class=2), seed=0)
         with pytest.raises(ValueError, match="does not match"):
@@ -487,7 +507,35 @@ class TestSpecValidation:
         with pytest.raises(ValueError, match="classes"):
             DFLModuleSpec(tap="t", classes=1, filters_per_class=2)
 
-    def test_builtin_backbone_lookup(self):
-        assert "conv4_3" in builtin_backbone("vgg16").taps
-        with pytest.raises(ValueError, match="unknown builtin"):
-            builtin_backbone("lenet")
+    @pytest.mark.parametrize("make,message", [
+        (lambda: LayerSpec("norm"), "unknown layer kind 'norm'"),
+        (lambda: LayerSpec("pool", kernel=0), "bad layer geometry"),
+        (lambda: LayerSpec("conv", kernel=3), "conv layer needs out_channels >= 1"),
+        (lambda: LayerSpec("pool", kernel=2, stride=2, out_channels=4),
+         "only conv layers carry out_channels"),
+        (lambda: LayerSpec("pool", kernel=2, stride=2, pad=1), "pool layers support pad=0 only"),
+        (lambda: LayerSpec("relu", kernel=3), "relu layers take kernel=1, stride=1, pad=0"),
+        (lambda: LayerSpec("relu", stride=2), "relu layers take kernel=1, stride=1, pad=0"),
+        (lambda: LayerSpec("relu", pad=1), "relu layers take kernel=1, stride=1, pad=0"),
+        (lambda: DFLModuleSpec(tap="t", classes=2, filters_per_class=0),
+         "need at least 1 filter per class, got 0"),
+        (lambda: ModelSpec(backbone=tinynet_spec(4).backbone, modules=(), input_size=64),
+         "at least one patch-detector module is required"),
+        (lambda: ModelSpec(backbone=tinynet_spec(4).backbone, input_size=64,
+                           modules=(DFLModuleSpec("block3", 4, 2), DFLModuleSpec("block4", 3, 2))),
+         r"all modules must share one class count, got \[3, 4\]"),
+        (lambda: ModelSpec(backbone=tinynet_spec(4).backbone, modules=tinynet_spec(4).modules,
+                           input_size=64, pooling="avg"), "pooling must be 'gmp' or 'gap', got 'avg'"),
+        (lambda: ModelSpec(backbone=tinynet_spec(4).backbone, input_size=64,
+                           modules=(DFLModuleSpec("conv6", 4, 2),)),
+         "module tap 'conv6' is not a backbone tap"),
+        (lambda: FilterBank(weight=Tensor(np.zeros((8, 4, 3, 3))), classes=4, filters_per_class=2),
+         r"filter bank weight must be \(8, C, 1, 1\), got \(8, 4, 3, 3\)"),
+        (lambda: build_model(tinynet_spec(4), bank_init=[]),
+         r"bank_init must have one entry per module \(1\), got 0"),
+    ], ids=["layer-kind", "layer-geometry", "conv-out-channels", "pool-out-channels", "pool-pad",
+            "relu-kernel", "relu-stride", "relu-pad", "module-filters", "no-modules",
+            "class-counts", "pooling", "module-tap", "bank-weight", "bank-init-length"])
+    def test_bad_spec_rejected(self, make, message):
+        with pytest.raises(ValueError, match=message):
+            make()

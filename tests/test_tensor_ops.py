@@ -551,6 +551,25 @@ class TestGradTape:
             with pytest.raises(ValueError, match="not the output of an operation recorded"):
                 tape.backward(y)
 
+    def test_keeps_only_gradients_of_inputs_that_require_grad(self):
+        x = Tensor(np.ones(2), requires_grad=True)
+        c = Tensor(np.ones(2))
+        late = Tensor(np.ones(2), requires_grad=True)
+        y = Tensor(np.ones(2))
+        with GradTape() as tape:
+            tape.record((x, c, late), y, lambda g: (g, g, g))
+        late.requires_grad = False
+        tape.backward(y)
+        np.testing.assert_array_equal(tape.grad(x).data, [1.0, 1.0])
+        assert tape.grad(c) is None and tape.grad(late) is None
+
+    def test_bad_seed_shape_rejected(self):
+        x = Tensor(np.ones(3), requires_grad=True)
+        with GradTape() as tape:
+            y = ops.scale(x, 2.0)
+        with pytest.raises(ValueError, match=r"seed gradient shape \(2,\) != output shape \(3,\)"):
+            tape.backward(y, seed=np.ones(2))
+
     def test_nested_tapes_rejected(self):
         with GradTape():
             with pytest.raises(RuntimeError, match="already active"):
@@ -585,3 +604,34 @@ class TestTensorInvariants:
         assert Tensor(np.zeros(2)).dtype == np.float64
         with pytest.raises(ValueError, match="dtype"):
             Tensor(np.zeros(2), dtype="int8")
+
+
+# ------------------------------------------------------------ input checks
+
+_MAP = np.ones((2, 4, 4))
+
+
+@pytest.mark.parametrize("call,message", [
+    (lambda: ops.add(np.ones(2), np.ones(3)), r"add shape mismatch: \(2,\) vs \(3,\)"),
+    (lambda: ops.conv2d(_MAP, np.ones((1, 2, 3))), r"conv2d weight must be \(C_out, C_in, kh, kw\)"),
+    (lambda: ops.conv2d(_MAP, np.ones((1, 2, 3, 3)), stride=0), "conv2d stride must be >= 1, got 0"),
+    (lambda: ops.conv2d(_MAP, np.ones((1, 2, 3, 3)), pad=-1), "conv2d pad must be >= 0, got -1"),
+    (lambda: ops.maxpool2d(np.ones((4, 4)), 2, 2), r"maxpool2d input must be \(C,H,W\) or \(N,C,H,W\)"),
+    (lambda: ops.maxpool2d(_MAP, 0, 2), "maxpool2d window and stride must be >= 1, got 0, 2"),
+    (lambda: ops.maxpool2d(_MAP, 2, 0), "maxpool2d window and stride must be >= 1, got 2, 0"),
+    (lambda: ops.maxpool2d(_MAP, 5, 1), "maxpool2d window 5 does not fit input 4x4"),
+    (lambda: ops.global_max_pool(np.ones((4, 4))), "global_max_pool input must have >= 3 dims"),
+    (lambda: ops.global_avg_pool(np.ones((4, 4))), "global_avg_pool input must have >= 3 dims"),
+    (lambda: ops.cross_channel_avg_pool(np.ones(4), 0), "group size must be >= 1, got 0"),
+    (lambda: ops.fully_connected(np.ones(3), np.ones(3), np.ones(1)),
+     r"fully_connected expects weight \(O,D\) and bias \(O,\)"),
+    (lambda: ops.fully_connected(np.ones(3), np.ones((2, 3)), np.ones(3)),
+     r"bias shape \(3,\) does not match weight rows 2"),
+    (lambda: ops.softmax_cross_entropy(np.ones((2, 3)), np.array([0, 1, 2])),
+     r"labels shape \(3,\) does not match logits"),
+], ids=["add-shapes", "conv2d-weight-rank", "conv2d-stride", "conv2d-pad", "maxpool2d-rank",
+        "maxpool2d-window", "maxpool2d-stride", "maxpool2d-fit", "global_max_pool-rank",
+        "global_avg_pool-rank", "cross_channel-k", "fc-param-ranks", "fc-bias", "softmax-labels"])
+def test_bad_input_rejected(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
