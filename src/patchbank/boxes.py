@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 
@@ -15,6 +16,9 @@ class Box:
     right: float
 
     def __post_init__(self):
+        # NaN compares false both ways, so the degenerate check alone passes it.
+        if not all(math.isfinite(v) for v in (self.top, self.left, self.bottom, self.right)):
+            raise ValueError(f"box coordinates must be finite: {self}")
         if self.bottom < self.top or self.right < self.left:
             raise ValueError(f"degenerate box: {self}")
 

@@ -46,7 +46,7 @@ def kmeans(vectors, k: int, seed, max_iter: int = 100) -> KMeansResult:
     Generator).  Assignment ties go to the smallest center index; a
     cluster that empties is re-seeded at the point farthest from its
     assigned center.  If fewer than k vectors are given, the list is
-    extended cyclically to length k.
+    extended cyclically to length k.  Non-finite vectors are rejected.
     """
     points = np.asarray(vectors, dtype=np.float64)
     if points.ndim != 2:
@@ -55,6 +55,8 @@ def kmeans(vectors, k: int, seed, max_iter: int = 100) -> KMeansResult:
         raise ValueError("kmeans requires at least one vector")
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
+    if not np.isfinite(points).all():
+        raise ValueError("kmeans vectors must be finite, got NaN or inf")
     n = len(points)
     if n < k:
         filler = points[[i % n for i in range(k - n)]]

@@ -34,10 +34,11 @@ def _parse_header(raw: bytes, magic: bytes, path) -> tuple[int, int, int]:
         token, pos = _read_token(raw, pos)
         if not token:
             raise ValueError(f"{path}: header ends before the {name}")
-        try:
-            fields.append(int(token))
-        except ValueError:
-            raise ValueError(f"{path}: header {name} {token!r} is not an integer") from None
+        # Netpbm allows ASCII decimal digits only; int() would also take "+1"
+        # and "1_0".  A minus sign is let through to the range checks below.
+        if not token.removeprefix(b"-").isdigit():
+            raise ValueError(f"{path}: header {name} {token!r} is not an integer")
+        fields.append(int(token))
     width, height, maxval = fields
     if width < 1 or height < 1:
         raise ValueError(f"{path}: image width and height must be >= 1, got {width}x{height}")

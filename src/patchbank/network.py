@@ -17,9 +17,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import ops
-from .tensor import Tensor, resolve_dtype
+from .tensor import Tensor, active_tape, resolve_dtype
 
 LAYER_KINDS = ("conv", "pool", "relu")
+
+# Images per backbone pass when no tape records: a few images' activations
+# and im2col columns fit in cache, where a whole batch's do not.
+BACKBONE_CHUNK = 4
 
 
 @dataclass(frozen=True)
@@ -289,6 +293,17 @@ def _check_input(model: Model, image) -> Tensor:
 
 def _run_backbone(model: Model, x: Tensor, upto: int | None = None,
                   keep: set[int] | None = None) -> tuple[Tensor, dict[int, Tensor]]:
+    """Backbone output through layer ``upto`` (default: the last) and the ``keep`` taps.
+
+    Without a tape, a batch runs every layer on ``BACKBONE_CHUNK`` images
+    at a time and the chunks are concatenated; each kernel treats images
+    independently, so the bytes equal a whole-batch pass.
+    """
+    if x.ndim == 4 and len(x.data) > BACKBONE_CHUNK and active_tape() is None:
+        parts = [_run_backbone(model, Tensor(x.data[s : s + BACKBONE_CHUNK]), upto, keep)
+                 for s in range(0, len(x.data), BACKBONE_CHUNK)]
+        taps = {i: Tensor(np.concatenate([t[i].data for _, t in parts])) for i in parts[0][1]}
+        return Tensor(np.concatenate([cur.data for cur, _ in parts])), taps
     taps: dict[int, Tensor] = {}
     cur = x
     last = len(model.spec.backbone.layers) - 1 if upto is None else upto
@@ -305,7 +320,11 @@ def _run_backbone(model: Model, x: Tensor, upto: int | None = None,
 
 
 def tap_features(model: Model, image, tap: str) -> Tensor:
-    """Feature map at a tap point (runs only the backbone prefix)."""
+    """Feature map at a tap point (runs only the backbone prefix).
+
+    Without an active tape the prefix runs on a few images at a time
+    (``BACKBONE_CHUNK``); the result is byte-equal to a whole-batch pass.
+    """
     x = _check_input(model, image)
     idx = model.spec.backbone.taps[tap]
     out, _ = _run_backbone(model, x, upto=idx)
@@ -320,7 +339,9 @@ def forward(model: Model, image) -> StreamOutputs:
     and its global max pooling run fused as ``ops.bank_peaks``, so the
     (k*M, H, W) response maps are never stored; ``pooling="gap"`` needs
     the dense maps for their mean, so it runs ``conv2d`` and then both
-    global pools.
+    global pools.  Without an active tape the backbone runs on a few
+    images at a time (``BACKBONE_CHUNK``) and the heads on the whole
+    batch; every output is byte-equal to a whole-batch pass.
     """
     spec = model.spec
     x = _check_input(model, image)

@@ -10,6 +10,11 @@ GradTape only when one is active and some input requires grad.  A
 kernel's backward returns one gradient per input, or None where it can
 skip the work for an input that does not require grad; the tape keeps
 only the gradients of inputs that require grad.
+
+``conv2d`` and ``bank_peaks`` work one image at a time, so their scratch
+memory does not grow with the batch: ``conv2d`` lowers each image into one
+reused im2col column buffer, and its backward rebuilds an image's
+columns from x when it needs them instead of keeping the whole batch's.
 """
 
 from __future__ import annotations
@@ -90,7 +95,14 @@ def conv2d(x: Tensor, weight: Tensor, stride: int = 1, pad: int = 0) -> Tensor:
     """Cross-correlate filters over a feature map.
 
     x: (C_in, H, W), weight: (C_out, C_in, kh, kw) -> (C_out, H', W') with
-    H' = floor((H + 2*pad - kh)/stride) + 1 and likewise for W'.
+    H' = floor((H + 2*pad - kh)/stride) + 1 and likewise for W'.  Each
+    image is zero-padded and lowered on its own into one reused
+    (C_in*kh*kw, H'*W') column buffer, which the (C_out, C_in*kh*kw)
+    weight matrix multiplies, so one image's padded copy and columns are
+    all that exist at a time, on the tape too.  Backward rebuilds each
+    image's columns from x: the weight gradient sums the per-image
+    products in batch order, and each image's column gradient is
+    scattered back over its windows.
     """
     x, weight = _as_tensor(x), _as_tensor(weight)
     xd, wd = x.data, weight.data
@@ -116,31 +128,47 @@ def conv2d(x: Tensor, weight: Tensor, stride: int = 1, pad: int = 0) -> Tensor:
     ho = (h + 2 * pad - kh) // stride + 1
     wo = (w + 2 * pad - kw) // stride + 1
 
-    xp = np.pad(xb, ((0, 0), (0, 0), (pad, pad), (pad, pad))) if pad else xb
-    win = sliding_window_view(xp, (kh, kw), axis=(2, 3))[:, :, ::stride, ::stride]
-    # cols: (N, Ci*kh*kw, Ho*Wo)
-    cols = np.ascontiguousarray(win.transpose(0, 1, 4, 5, 2, 3)).reshape(n, ci * kh * kw, ho * wo)
+    # One zero-padded image at a time; win views its windows in column
+    # order, (Ci, kh, kw, Ho, Wo).
+    xpad = np.zeros((c, h + 2 * pad, w + 2 * pad), dtype=xd.dtype)
+    inner = (slice(None), slice(pad, pad + h), slice(pad, pad + w))
+    win = sliding_window_view(xpad, (kh, kw), axis=(1, 2))[:, ::stride, ::stride]
+    win = win.transpose(0, 3, 4, 1, 2)
+    cols = np.empty((ci * kh * kw, ho * wo), dtype=xd.dtype)
+
+    def lower(i):
+        xpad[inner] = xb[i]
+        np.copyto(cols.reshape(win.shape), win)
+        return cols
+
     wmat = wd.reshape(co, ci * kh * kw)
-    out = Tensor(np.matmul(wmat, cols).reshape(xd.shape[:-3] + (co, ho, wo)))
+    res = np.empty((n, co, ho * wo), dtype=np.result_type(xd, wd))
+    for i in range(n):
+        np.matmul(wmat, lower(i), out=res[i])
+    out = Tensor(res.reshape(xd.shape[:-3] + (co, ho, wo)))
 
     def backward(g):
         gmat = g.reshape(n, co, ho * wo)
+        gw = None
         if weight.requires_grad:
-            gw = np.matmul(gmat, cols.transpose(0, 2, 1)).sum(axis=0).reshape(wd.shape)
-        else:
-            gw = None
-        if x.requires_grad:
-            dcols = np.matmul(wmat.T, gmat).reshape(n, ci, kh, kw, ho, wo)
-            dxp = np.zeros_like(xp)
-            for i in range(kh):
-                for j in range(kw):
-                    dxp[:, :, i : i + stride * ho : stride, j : j + stride * wo : stride] += dcols[
-                        :, :, i, j
+            gw = np.matmul(gmat[0], lower(0).T)
+            for i in range(1, n):
+                gw += np.matmul(gmat[i], lower(i).T)
+            gw = gw.reshape(wd.shape)
+        if not x.requires_grad:
+            return (None, gw)
+        gx = np.empty_like(xb)
+        dpad = np.empty_like(xpad)
+        for i in range(n):
+            dcols = np.matmul(wmat.T, gmat[i]).reshape(ci, kh, kw, ho, wo)
+            dpad.fill(0)
+            for a in range(kh):
+                for b in range(kw):
+                    dpad[:, a : a + stride * ho : stride, b : b + stride * wo : stride] += dcols[
+                        :, a, b
                     ]
-            gx = (dxp[:, :, pad : pad + h, pad : pad + w] if pad else dxp).reshape(xd.shape)
-        else:
-            gx = None
-        return (gx, gw)
+            gx[i] = dpad[inner]
+        return (gx.reshape(xd.shape), gw)
 
     return _record((x, weight), out, backward)
 

@@ -80,3 +80,13 @@ def test_nms_bad_arguments_rejected():
 def test_degenerate_box_rejected(corners):
     with pytest.raises(ValueError, match="degenerate box"):
         Box(*corners)
+
+
+@pytest.mark.parametrize("corner", range(4))
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+def test_non_finite_box_rejected(corner, bad):
+    # Box(nan, 0, 1, 1) passed the degenerate check and had IoU 0 with itself.
+    corners = [0.0, 0.0, 1.0, 1.0]
+    corners[corner] = bad
+    with pytest.raises(ValueError, match="box coordinates must be finite"):
+        Box(*corners)

@@ -66,3 +66,10 @@ def test_emptied_cluster_is_reseeded(distinct, extra, copies, pyrng):
 def test_bad_arguments_rejected(vectors, k, message):
     with pytest.raises(ValueError, match=message):
         kmeans(vectors, k, seed=0)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_vectors_rejected(bad):
+    # A NaN point made every center NaN after 100 silent iterations.
+    with pytest.raises(ValueError, match="kmeans vectors must be finite"):
+        kmeans([[bad, 0.0], [1.0, 1.0], [2.0, 2.0]], 2, seed=0)

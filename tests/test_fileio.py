@@ -210,3 +210,18 @@ def _written(path, raw):
 def test_bad_image_rejected(tmp_path, call, message):
     with pytest.raises(ValueError, match=message):
         call(tmp_path)
+
+
+@pytest.mark.parametrize("raw,message", [
+    (b"P5\n1_0 1\n255\n" + bytes(10), r"t\.img: header width b'1_0' is not an integer"),
+    (b"P5\n+0_1 1\n255\n" + bytes(1), r"t\.img: header width b'\+0_1' is not an integer"),
+    (b"P5\n1 +2\n255\n" + bytes(2), r"t\.img: header height b'\+2' is not an integer"),
+    (b"P5\n1 1\n+255\n" + bytes(1), r"t\.img: header maxval b'\+255' is not an integer"),
+    (b"P5\n1 1\n2_55\n" + bytes(1), r"t\.img: header maxval b'2_55' is not an integer"),
+], ids=["underscore-width", "plus-underscore-width", "plus-height", "plus-maxval",
+        "underscore-maxval"])
+def test_non_decimal_header_token_rejected(tmp_path, raw, message):
+    # Netpbm header fields are ASCII decimal digits; int() would also take
+    # a sign and digit-group underscores.
+    with pytest.raises(ValueError, match=message):
+        load_pgm(_written(tmp_path / "t.img", raw))

@@ -22,7 +22,7 @@ from patchbank.network import (
     tinynet_spec,
     vgg16_backbone,
 )
-from patchbank import ops
+from patchbank import network, ops
 from patchbank.tensor import GradTape, Tensor
 
 
@@ -430,6 +430,53 @@ class TestForward:
         x = np.random.default_rng(9).random((3, 64, 64))
         taps = tap_features(model, x, "block3")
         assert taps.shape == (64, 16, 16)
+
+
+# ---------------------------------------------------------- chunked backbone
+
+CHUNK = network.BACKBONE_CHUNK
+
+
+def forward_arrays(model, x):
+    out = forward(model, x)
+    tensors = [*logit_streams(out), *out.pool6, *out.peak_values]
+    taps = [tap_features(model, x, tap) for tap in ("block3", "block4")]
+    return [t.data for t in tensors + taps] + list(out.peak_argmax)
+
+
+class TestChunkedBackbone:
+    @pytest.mark.parametrize("pooling", ["gmp", "gap"])
+    @pytest.mark.parametrize("dtype", ["f32", "f64"])
+    @pytest.mark.parametrize("batch", [1, CHUNK, CHUNK + 1, 17])
+    def test_byte_equal_to_single_chunk(self, monkeypatch, batch, dtype, pooling):
+        model = build_model(tinynet_spec(4, 2, 32, pooling=pooling, g_hidden=3),
+                            seed=batch, dtype=dtype)
+        x = np.random.default_rng(batch).random((batch, 3, 32, 32))
+        chunked = forward_arrays(model, x)
+        monkeypatch.setattr(network, "BACKBONE_CHUNK", batch)
+        whole = forward_arrays(model, x)
+        assert len(chunked) == len(whole) == 8
+        for got, want in zip(chunked, whole):
+            assert got.dtype == want.dtype and got.shape[0] == batch
+            assert got.tobytes() == want.tobytes()
+
+    def test_chunks_only_without_tape(self, monkeypatch):
+        batches = []
+        conv2d = ops.conv2d
+
+        def spy(x, weight, *args):
+            batches.append(len(x.data))
+            return conv2d(x, weight, *args)
+
+        monkeypatch.setattr(ops, "conv2d", spy)
+        model = build_model(tinynet_spec(4, 2, 32), seed=0)
+        x = np.random.default_rng(0).random((2 * CHUNK + 1, 3, 32, 32))
+        tap_features(model, x, "block4")
+        assert batches == [CHUNK] * 4 + [CHUNK] * 4 + [1] * 4
+        batches.clear()
+        with GradTape() as tape:
+            forward(model, x)
+        assert batches == [2 * CHUNK + 1] * 4 and len(tape) > 0
 
 
 # ------------------------------------------------------------------- fusion

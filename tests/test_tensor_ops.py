@@ -1,9 +1,12 @@
 """Kernel contracts checked against independent brute-force references."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from numpy.lib.stride_tricks import sliding_window_view
 
 from patchbank import ops
 from patchbank.tensor import GradTape, Tensor
@@ -32,6 +35,40 @@ def conv2d_reference(x, w, stride, pad):
                             acc += w[o, ic, a, b] * xp[ic, i * stride + a, j * stride + b]
                 out[o, i, j] = acc
     return out
+
+
+def conv2d_batched_im2col(x, w, stride, pad):
+    """The whole-batch im2col conv2d that the per-image kernel replaced.
+
+    Returns the output and a backward(g) -> (gx, gw).  It builds every
+    image's columns at once, (N, C*kh*kw, Ho*Wo); the kernel under test
+    must give the same bytes.
+    """
+    xb = x.reshape((-1,) + x.shape[-3:])
+    co, ci, kh, kw = w.shape
+    n, c, h, ww = xb.shape
+    ho = (h + 2 * pad - kh) // stride + 1
+    wo = (ww + 2 * pad - kw) // stride + 1
+    xp = np.pad(xb, ((0, 0), (0, 0), (pad, pad), (pad, pad))) if pad else xb
+    win = sliding_window_view(xp, (kh, kw), axis=(2, 3))[:, :, ::stride, ::stride]
+    cols = np.ascontiguousarray(win.transpose(0, 1, 4, 5, 2, 3)).reshape(n, ci * kh * kw, ho * wo)
+    wmat = w.reshape(co, ci * kh * kw)
+    out = np.matmul(wmat, cols).reshape(x.shape[:-3] + (co, ho, wo))
+
+    def backward(g):
+        gmat = g.reshape(n, co, ho * wo)
+        gw = np.matmul(gmat, cols.transpose(0, 2, 1)).sum(axis=0).reshape(w.shape)
+        dcols = np.matmul(wmat.T, gmat).reshape(n, ci, kh, kw, ho, wo)
+        dxp = np.zeros_like(xp)
+        for i in range(kh):
+            for j in range(kw):
+                dxp[:, :, i : i + stride * ho : stride, j : j + stride * wo : stride] += dcols[
+                    :, :, i, j
+                ]
+        gx = (dxp[:, :, pad : pad + h, pad : pad + ww] if pad else dxp).reshape(x.shape)
+        return gx, gw
+
+    return out, backward
 
 
 def fc_reference(x, w, b):
@@ -149,6 +186,56 @@ class TestConv2d:
             for ww in range(3):
                 site = ops.fully_connected(Tensor(x[:, h, ww]), Tensor(w[:, :, 0, 0]), bias)
                 np.testing.assert_allclose(out.data[:, h, ww], site.data, atol=1e-12)
+
+    @pytest.mark.parametrize("batched", [False, True], ids=["unbatched", "batched"])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64], ids=["f32", "f64"])
+    @pytest.mark.parametrize("pad", [0, 1, 2])
+    @pytest.mark.parametrize("stride", [1, 2, 3])
+    @pytest.mark.parametrize("kernel", [1, 3])
+    def test_byte_equal_to_batched_im2col(self, kernel, stride, pad, dtype, batched):
+        rng = np.random.default_rng(100 * kernel + 10 * stride + pad)
+        xd = rng.standard_normal((3, 4, 9, 8) if batched else (4, 9, 8)).astype(dtype)
+        wd = rng.standard_normal((5, 4, kernel, kernel)).astype(dtype)
+        want, want_backward = conv2d_batched_im2col(xd, wd, stride, pad)
+        g = rng.standard_normal(want.shape).astype(dtype)
+        want_gx, want_gw = want_backward(g)
+        for need_x, need_w in [(False, False), (True, False), (False, True), (True, True)]:
+            x, w = Tensor(xd, requires_grad=need_x), Tensor(wd, requires_grad=need_w)
+            with GradTape() as tape:
+                out = ops.conv2d(x, w, stride=stride, pad=pad)
+            assert out.dtype == want.dtype and out.data.tobytes() == want.tobytes()
+            assert len(tape) == int(need_x or need_w)
+            if not (need_x or need_w):
+                continue
+            tape.backward(out, seed=g)
+            gx, gw = tape.grad(x), tape.grad(w)
+            assert (gx is None) == (not need_x) and (gw is None) == (not need_w)
+            if need_x:
+                assert gx.dtype == want_gx.dtype and gx.data.tobytes() == want_gx.tobytes()
+            if need_w:
+                assert gw.dtype == want_gw.dtype and gw.data.tobytes() == want_gw.tobytes()
+
+    def test_tape_keeps_one_image_of_columns(self):
+        # Under a tape conv2d may keep, and at its peak hold, its output,
+        # the padded input and up to two images' columns, not the whole
+        # batch's (9.4 MB here).
+        rng = np.random.default_rng(0)
+        x = Tensor(rng.standard_normal((16, 32, 16, 16)), requires_grad=True)
+        w = Tensor(rng.standard_normal((64, 32, 3, 3)), requires_grad=True)
+        padded = 16 * 32 * 18 * 18 * 8
+        image_cols = 32 * 9 * 16 * 16 * 8
+        tracemalloc.start()
+        try:
+            with GradTape() as tape:
+                before = tracemalloc.get_traced_memory()[0]
+                tracemalloc.reset_peak()
+                out = ops.conv2d(x, w, stride=1, pad=1)
+                kept, peak = (m - before for m in tracemalloc.get_traced_memory())
+        finally:
+            tracemalloc.stop()
+        assert kept <= peak < out.data.nbytes + padded + 2 * image_cols
+        tape.backward(out)
+        assert tape.grad(x).shape == x.shape and tape.grad(w).shape == w.shape
 
 
 # ------------------------------------------------------------------ pooling
