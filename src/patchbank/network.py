@@ -295,8 +295,11 @@ def _run_backbone(model: Model, x: Tensor, upto: int | None = None,
                   keep: set[int] | None = None) -> tuple[Tensor, dict[int, Tensor]]:
     """Backbone output through layer ``upto`` (default: the last) and the ``keep`` taps.
 
-    Without a tape, a batch runs every layer on ``BACKBONE_CHUNK`` images
-    at a time and the chunks are concatenated; each kernel treats images
+    A conv layer followed by a relu layer runs as one ``conv2d(...,
+    relu=True)``, whose backward masks from its output, unless the conv's
+    own pre-ReLU output is a ``keep`` tap or the ``upto`` end.  Without a
+    tape, a batch runs every layer on ``BACKBONE_CHUNK`` images at a time
+    and the chunks are concatenated; each kernel treats images
     independently, so the bytes equal a whole-batch pass.
     """
     if x.ndim == 4 and len(x.data) > BACKBONE_CHUNK and active_tape() is None:
@@ -306,13 +309,18 @@ def _run_backbone(model: Model, x: Tensor, upto: int | None = None,
         return Tensor(np.concatenate([cur.data for cur, _ in parts])), taps
     taps: dict[int, Tensor] = {}
     cur = x
-    last = len(model.spec.backbone.layers) - 1 if upto is None else upto
-    for i, layer in enumerate(model.spec.backbone.layers[: last + 1]):
+    layers = model.spec.backbone.layers
+    last = len(layers) - 1 if upto is None else upto
+    fused = {i for i in range(last)
+             if layers[i].kind == "conv" and layers[i + 1].kind == "relu"
+             and not (keep and i in keep)}
+    for i, layer in enumerate(layers[: last + 1]):
         if layer.kind == "conv":
-            cur = ops.conv2d(cur, model.params[f"backbone.{i}.weight"], layer.stride, layer.pad)
+            cur = ops.conv2d(cur, model.params[f"backbone.{i}.weight"], layer.stride, layer.pad,
+                             relu=i in fused)
         elif layer.kind == "pool":
             cur = ops.maxpool2d(cur, layer.kernel, layer.stride)
-        else:
+        elif i - 1 not in fused:
             cur = ops.relu(cur)
         if keep and i in keep:
             taps[i] = cur
@@ -335,13 +343,17 @@ def forward(model: Model, image) -> StreamOutputs:
     """Run every stream on one image (C,S,S) or a batch (N,C,S,S).
 
     Deterministic; also records the argmax location of every conv6 filter
-    response for later patch visualization.  Under ``pooling="gmp"`` conv6
-    and its global max pooling run fused as ``ops.bank_peaks``, so the
-    (k*M, H, W) response maps are never stored; ``pooling="gap"`` needs
-    the dense maps for their mean, so it runs ``conv2d`` and then both
-    global pools.  Without an active tape the backbone runs on a few
-    images at a time (``BACKBONE_CHUNK``) and the heads on the whole
-    batch; every output is byte-equal to a whole-batch pass.
+    response for later patch visualization.  Each backbone conv followed
+    by a relu runs fused with it as ``conv2d(..., relu=True)`` unless its
+    pre-ReLU output is a tap, so the tape keeps one activation per pair
+    and the backward masks from the ReLU output.  Under
+    ``pooling="gmp"`` conv6 and its global max pooling run fused as
+    ``ops.bank_peaks``, so the (k*M, H, W) response maps are never
+    stored; ``pooling="gap"`` needs the dense maps for their mean, so it
+    runs ``conv2d`` and then both global pools.  Without an active tape
+    the backbone runs on a few images at a time (``BACKBONE_CHUNK``) and
+    the heads on the whole batch; every output is byte-equal to a
+    whole-batch pass.
     """
     spec = model.spec
     x = _check_input(model, image)

@@ -70,9 +70,18 @@ class Tensor:
         return Tensor(self.data, requires_grad=self.requires_grad, dtype=dtype)
 
     def __array__(self, dtype=None, copy=None):
-        if dtype is not None:
+        """``data`` itself, unless ``copy`` is True or ``dtype`` differs.
+
+        Follows the NumPy 2 protocol: ``copy=False`` raises ValueError
+        when the dtype change needs a copy.
+        """
+        if dtype is not None and np.dtype(dtype) != self.data.dtype:
+            if copy is False:
+                raise ValueError(
+                    f"converting a {self.data.dtype} Tensor to {np.dtype(dtype)} needs a copy"
+                )
             return self.data.astype(dtype)
-        return self.data
+        return self.data.copy() if copy else self.data
 
     def __repr__(self) -> str:
         grad = ", requires_grad=True" if self.requires_grad else ""

@@ -44,6 +44,20 @@ def test_conv2d_1x1_wrt_weight():
         assert finite_difference_check(f, w, eps=EPS) < TOL
 
 
+def test_conv2d_relu_away_from_kink():
+    rng = np.random.default_rng(21)
+    x3 = Tensor(rng.standard_normal((3, 5, 5)))
+    w = Tensor(rng.standard_normal((4, 3, 3, 3)))
+    for x in [x3, Tensor(rng.standard_normal((2, 3, 5, 5)))]:
+        # A step of EPS moves no pre-activation across 0.
+        pre = ops.conv2d(x, w, stride=2, pad=1).data
+        assert np.abs(pre).min() > 0.01
+        f = lambda t: ops.tsum(ops.conv2d(t, w, stride=2, pad=1, relu=True))
+        assert finite_difference_check(f, x, eps=EPS) < TOL
+        f = lambda t: ops.tsum(ops.conv2d(x, t, stride=2, pad=1, relu=True))
+        assert finite_difference_check(f, w, eps=EPS) < TOL
+
+
 def test_global_max_pool_away_from_ties():
     rng = np.random.default_rng(4)
     x = Tensor(rng.standard_normal((3, 4, 4)))  # continuous values: ties have measure zero

@@ -237,21 +237,28 @@ def two_module_spec():
     return ModelSpec(backbone=spec.backbone, modules=modules, input_size=spec.input_size)
 
 
-def unfused_gmp_forward(model, x):
-    """The GMP forward with conv6 and its global max pooling as two ops (g_hidden=0).
-
-    Returns the logit streams in fusion order, pool6 and peak_argmax.
-    """
-    spec, params = model.spec, model.params
-    cur, taps = Tensor(x, dtype=model.dtype), {}
-    for i, layer in enumerate(spec.backbone.layers):
+def walk_backbone(model, x):
+    """Every backbone layer as its own op, conv and relu unfused; returns (output, all maps)."""
+    cur = x if isinstance(x, Tensor) else Tensor(x, dtype=model.dtype)
+    taps = {}
+    for i, layer in enumerate(model.spec.backbone.layers):
         if layer.kind == "conv":
-            cur = ops.conv2d(cur, params[f"backbone.{i}.weight"], layer.stride, layer.pad)
+            cur = ops.conv2d(cur, model.params[f"backbone.{i}.weight"], layer.stride, layer.pad)
         elif layer.kind == "pool":
             cur = ops.maxpool2d(cur, layer.kernel, layer.stride)
         else:
             cur = ops.relu(cur)
         taps[i] = cur
+    return cur, taps
+
+
+def unfused_gmp_forward(model, x):
+    """The GMP forward (g_hidden=0) with every layer its own op, conv6 and its pooling too.
+
+    Returns the logit streams in fusion order, pool6 and peak_argmax.
+    """
+    spec, params = model.spec, model.params
+    cur, taps = walk_backbone(model, x)
     g = ops.fully_connected(ops.global_avg_pool(cur), params["ghead.weight"], params["ghead.bias"])
     p, side, pool6, argmaxes = [], [], [], []
     for mi, mod in enumerate(spec.modules):
@@ -335,8 +342,11 @@ class TestForward:
             out = forward(model, x)
         with GradTape() as ref_tape:
             streams, pool6, argmaxes = unfused_gmp_forward(model, x)
-        # conv6 and its global max pooling are one record instead of two.
-        assert len(fused_tape) == len(ref_tape) - len(model.spec.modules)
+        # conv6 and its global max pooling are one record instead of two,
+        # and so is each backbone conv with the relu after it.
+        layers = model.spec.backbone.layers
+        pairs = sum(a.kind == "conv" and b.kind == "relu" for a, b in zip(layers, layers[1:]))
+        assert len(fused_tape) == len(ref_tape) - len(model.spec.modules) - pairs
         for got, want in zip(logit_streams(out), streams, strict=True):
             assert got.dtype == want.dtype and got.data.tobytes() == want.data.tobytes()
         for mi in range(len(model.spec.modules)):
@@ -360,6 +370,57 @@ class TestForward:
             got, want = fused_tape.grad(param).data, ref_tape.grad(param).data
             # Only the order of the sums into conv6's input differs.
             assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max(), name
+
+    @pytest.mark.parametrize("tap,idx,fused", [
+        ("block3", 7, [True, True, True, True]),   # tinynet: the module reads relu3
+        ("conv3", 6, [True, True, False, True]),   # the module reads conv3 before its relu
+    ])
+    def test_conv_relu_fused_unless_pre_relu_map_is_read(self, monkeypatch, tap, idx, fused):
+        base = tinynet_spec(4, 3, 32)
+        backbone = BackboneSpec(base.backbone.layers, {**base.backbone.taps, "conv3": 6})
+        module = DFLModuleSpec(tap=tap, classes=4, filters_per_class=3)
+        model = build_model(ModelSpec(backbone, (module,), 32), seed=15)
+        params = model.params
+        x = Tensor(np.random.default_rng(16).random((2, 3, 32, 32)), requires_grad=True)
+        labels = np.array([1, 3])
+        flags = []
+        conv2d = ops.conv2d
+
+        def spy(*args, relu=False, **kwargs):
+            flags.append(relu)
+            return conv2d(*args, relu=relu, **kwargs)
+
+        monkeypatch.setattr(ops, "conv2d", spy)
+        with GradTape() as tape:
+            out = forward(model, x)
+            loss = summed_loss(logit_streams(out), labels)
+        assert flags == fused
+        flags.clear()
+        # Read through upto, the tapped map is the pass's end and stays unfused too.
+        tap_map = tap_features(model, x, tap)
+        assert flags == fused[:3]
+        monkeypatch.undo()
+        tape.backward(loss)
+
+        with GradTape() as ref_tape:
+            final, maps = walk_backbone(model, x)
+            g = ops.fully_connected(ops.global_avg_pool(final), params["ghead.weight"],
+                                    params["ghead.bias"])
+            peak, argmax = ops.bank_peaks(maps[idx], params["module0.conv6.weight"])
+            p = ops.fully_connected(peak, params["module0.phead.weight"],
+                                    params["module0.phead.bias"])
+            streams = [g, p, ops.cross_channel_avg_pool(peak, 3)]
+            ref_loss = summed_loss(streams, labels)
+        ref_tape.backward(ref_loss)
+
+        # One record fewer per fused pair.
+        assert len(ref_tape) - len(tape) == sum(fused)
+        assert tap_map.data.tobytes() == maps[idx].data.tobytes()
+        np.testing.assert_array_equal(out.peak_argmax[0], argmax)
+        for got, want in zip([loss, *logit_streams(out)], [ref_loss, *streams], strict=True):
+            assert got.data.tobytes() == want.data.tobytes()
+        for t in [x, *params.values()]:
+            assert tape.grad(t).data.tobytes() == ref_tape.grad(t).data.tobytes()
 
     def test_batched_matches_per_sample(self):
         model = build_model(tinynet_spec(classes=4, filters_per_class=2), seed=1)
@@ -464,9 +525,9 @@ class TestChunkedBackbone:
         batches = []
         conv2d = ops.conv2d
 
-        def spy(x, weight, *args):
+        def spy(x, weight, *args, **kwargs):
             batches.append(len(x.data))
-            return conv2d(x, weight, *args)
+            return conv2d(x, weight, *args, **kwargs)
 
         monkeypatch.setattr(ops, "conv2d", spy)
         model = build_model(tinynet_spec(4, 2, 32), seed=0)

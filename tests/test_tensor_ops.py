@@ -238,6 +238,84 @@ class TestConv2d:
         assert tape.grad(x).shape == x.shape and tape.grad(w).shape == w.shape
 
 
+class TestConv2dRelu:
+    @staticmethod
+    def inputs(kernel, dtype, batched):
+        """x and w whose plain conv outputs hold exact +0.0, -0.0 and NaN.
+
+        x is -tiny over its top-left 5x5 corner, exactly 0 inside it and
+        NaN on a 2x2 block of channel 0.  Filter 0 is tiny and positive,
+        so its products over the corner underflow to signed zeros.
+        """
+        tiny = dtype(1e-30 if dtype == np.float32 else 1e-200)
+        rng = np.random.default_rng(kernel)
+        x = rng.standard_normal((2, 4, 9, 8)).astype(dtype)
+        x[:, :, :5, :5] = -tiny
+        x[:, :, 1:3, 1:3] = 0
+        x[:, 0, 6:8, 6:8] = np.nan
+        w = rng.standard_normal((5, 4, kernel, kernel)).astype(dtype)
+        w[0] = np.abs(w[0]) * tiny
+        return (x if batched else x[0]), w
+
+    @pytest.mark.parametrize("batched", [False, True], ids=["unbatched", "batched"])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64], ids=["f32", "f64"])
+    @pytest.mark.parametrize("pad", [0, 1])
+    @pytest.mark.parametrize("stride", [1, 2])
+    @pytest.mark.parametrize("kernel", [1, 3])
+    def test_byte_equal_to_conv2d_then_relu(self, kernel, stride, pad, dtype, batched):
+        xd, wd = self.inputs(kernel, dtype, batched)
+        pre = ops.conv2d(Tensor(xd), Tensor(wd), stride=stride, pad=pad).data
+        zero = pre == 0
+        assert np.isnan(pre).any()
+        assert (zero & ~np.signbit(pre)).any() and (zero & np.signbit(pre)).any()
+        g = np.random.default_rng(0).standard_normal(pre.shape).astype(dtype)
+        for need_x, need_w in [(False, False), (True, False), (False, True), (True, True)]:
+            runs = []
+            for fused in (False, True):
+                x, w = Tensor(xd, requires_grad=need_x), Tensor(wd, requires_grad=need_w)
+                with GradTape() as tape:
+                    if fused:
+                        out = ops.conv2d(x, w, stride=stride, pad=pad, relu=True)
+                    else:
+                        out = ops.relu(ops.conv2d(x, w, stride=stride, pad=pad))
+                if need_x or need_w:
+                    tape.backward(out, seed=g)
+                runs.append((len(tape), out.data, tape.grad(x), tape.grad(w)))
+            (n_ref, want, want_gx, want_gw), (n, got, gx, gw) = runs
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+            # One record instead of two.
+            assert n == n_ref // 2 == int(need_x or need_w)
+            for got_g, want_g in [(gx, want_gx), (gw, want_gw)]:
+                assert (got_g is None) == (want_g is None)
+                if got_g is not None:
+                    assert got_g.dtype == want_g.dtype
+                    assert got_g.data.tobytes() == want_g.data.tobytes()
+
+    def test_tape_keeps_one_activation(self):
+        # relu(conv2d(...)) keeps the conv output for relu's backward and
+        # the relu output; the fused op keeps one output-sized map, plus one
+        # image's padded copy and columns.
+        rng = np.random.default_rng(0)
+        x = Tensor(rng.standard_normal((16, 32, 16, 16)), requires_grad=True)
+        w = Tensor(rng.standard_normal((64, 32, 3, 3)), requires_grad=True)
+        out_bytes = 16 * 64 * 16 * 16 * 8
+        kept = {}
+        tracemalloc.start()
+        try:
+            for fused in (False, True):
+                with GradTape() as tape:
+                    before = tracemalloc.get_traced_memory()[0]
+                    if fused:
+                        out = ops.conv2d(x, w, stride=1, pad=1, relu=True)
+                    else:
+                        out = ops.relu(ops.conv2d(x, w, stride=1, pad=1))
+                    kept[fused] = tracemalloc.get_traced_memory()[0] - before
+                del tape, out
+        finally:
+            tracemalloc.stop()
+        assert kept[True] < 2 * out_bytes <= kept[False]
+
+
 # ------------------------------------------------------------------ pooling
 
 
@@ -691,6 +769,20 @@ class TestTensorInvariants:
         assert Tensor(np.zeros(2)).dtype == np.float64
         with pytest.raises(ValueError, match="dtype"):
             Tensor(np.zeros(2), dtype="int8")
+
+    def test_array_copy_does_not_alias(self):
+        t = Tensor(np.zeros(3))
+        a = np.array(t)
+        a[0] = 5.0
+        assert t.data[0] == 0.0
+        assert np.asarray(t) is t.data
+
+    def test_array_no_copy_with_dtype_change_rejected(self):
+        t = Tensor(np.zeros(3))
+        assert np.asarray(t, dtype=np.float64, copy=False) is t.data
+        with pytest.raises(ValueError, match="needs a copy"):
+            np.asarray(t, dtype=np.float32, copy=False)
+        assert np.asarray(t, dtype=np.float32).dtype == np.float32
 
 
 # ------------------------------------------------------------ input checks
