@@ -17,7 +17,8 @@ class Box:
 
     def __post_init__(self):
         # NaN compares false both ways, so the degenerate check alone passes it.
-        if not all(math.isfinite(v) for v in (self.top, self.left, self.bottom, self.right)):
+        if not (math.isfinite(self.top) and math.isfinite(self.left)
+                and math.isfinite(self.bottom) and math.isfinite(self.right)):
             raise ValueError(f"box coordinates must be finite: {self}")
         if self.bottom < self.top or self.right < self.left:
             raise ValueError(f"degenerate box: {self}")
@@ -67,9 +68,21 @@ def nms_select(candidates, iou_threshold: float, max_keep: int):
         raise ValueError(f"max_keep must be >= 1, got {max_keep}")
     ordered = sorted(candidates, key=lambda c: (-c.energy, c.image_id, c.location))
     kept = []
+    kept_boxes = []    # (top, left, bottom, right, area) of each kept box
     for cand in ordered:
         if len(kept) == max_keep:
             break
-        if all(cand.box.iou(k.box) <= iou_threshold for k in kept):
+        b = cand.box
+        top, left, bottom, right = b.top, b.left, b.bottom, b.right
+        area = (bottom - top) * (right - left)
+        # Box.iou inlined, the same float operations in the same order.
+        for k_top, k_left, k_bottom, k_right, k_area in kept_boxes:
+            inter = (max(0.0, min(bottom, k_bottom) - max(top, k_top))
+                     * max(0.0, min(right, k_right) - max(left, k_left)))
+            union = area + k_area - inter
+            if (inter / union if union > 0 else 0.0) > iou_threshold:
+                break
+        else:
             kept.append(cand)
+            kept_boxes.append((top, left, bottom, right, area))
     return kept

@@ -68,6 +68,79 @@ def test_nms_select_contract(cands, threshold, max_keep, pyrng):
     assert nms_select(shuffled, threshold, max_keep) == kept
 
 
+def nms_select_reference(candidates, iou_threshold, max_keep):
+    """``nms_select`` as it was before it inlined the IoU: one ``Box.iou``
+    call per (candidate, kept) pair."""
+    ordered = sorted(candidates, key=lambda c: (-c.energy, c.image_id, c.location))
+    kept = []
+    for cand in ordered:
+        if len(kept) == max_keep:
+            break
+        if all(cand.box.iou(k.box) <= iou_threshold for k in kept):
+            kept.append(cand)
+    return kept
+
+
+small_coords = st.integers(0, 6).map(float)
+
+
+@st.composite
+def grid_boxes(draw):
+    """Integer corners: duplicates, zero-area boxes and exact IoU ties are common."""
+    top, bottom = sorted((draw(small_coords), draw(small_coords)))
+    left, right = sorted((draw(small_coords), draw(small_coords)))
+    return Box(top, left, bottom, right)
+
+
+@st.composite
+def nms_cases(draw):
+    pool = draw(st.lists(st.one_of(grid_boxes(), boxes()), min_size=1, max_size=6))
+    n = draw(st.integers(0, 14))
+    keys = draw(st.lists(st.tuples(st.integers(0, 3), st.integers(0, 5), st.integers(0, 5)),
+                         min_size=n, max_size=n, unique=True))
+    cands = [Candidate(float(draw(st.integers(0, 4))), i, (h, w), draw(st.sampled_from(pool)))
+             for i, h, w in keys]
+    # A threshold equal to some pair's IoU puts decisions exactly on the boundary.
+    ious = sorted({a.iou(b) for a in pool for b in pool})
+    threshold = draw(st.one_of(st.sampled_from(ious), st.floats(0.0, 1.0)))
+    return cands, threshold, draw(st.integers(1, 6))
+
+
+def assert_same_selection(got, want):
+    assert len(got) == len(want) and all(a is b for a, b in zip(got, want))
+
+
+@given(nms_cases())
+@settings(max_examples=100, deadline=None)
+def test_nms_select_matches_reference(case):
+    cands, threshold, max_keep = case
+    assert_same_selection(nms_select(cands, threshold, max_keep),
+                          nms_select_reference(cands, threshold, max_keep))
+
+
+SQUARE = Box(0, 0, 2, 2)
+# IoU 0.07512832477834815, and one ulp more if the union is summed as
+# a + (b - inter) instead of (a + b) - inter.
+FLOAT_PAIR = (Box(1.9, 3.6, 7.7, 6.4), Box(0.6, 4.1, 2.6, 7.5))
+
+
+@pytest.mark.parametrize("first,second,threshold,kept", [
+    (SQUARE, Box(0, 1, 2, 3), 1 / 3, 2),            # IoU exactly the threshold: kept
+    (SQUARE, Box(0, 1, 2, 3), 0.33, 1),             # just above it: suppressed
+    (*FLOAT_PAIR, FLOAT_PAIR[1].iou(FLOAT_PAIR[0]), 2),
+    (SQUARE, Box(0, 0, 2, 2), 1.0, 2),              # a duplicate, IoU 1 <= 1
+    (SQUARE, Box(0, 0, 2, 2), 0.99, 1),
+    (SQUARE, Box(1, 1, 1, 3), 0.0, 2),              # zero area: no overlap
+    (Box(3, 3, 3, 3), Box(3, 3, 3, 3), 0.0, 2),     # union 0, so IoU 0
+], ids=["iou-equals-threshold", "iou-above-threshold", "float-iou-equals-threshold",
+        "duplicate-kept", "duplicate-suppressed", "zero-area", "union-zero"])
+def test_nms_select_boundary_cases(first, second, threshold, kept):
+    cands = [Candidate(2.0, 0, (0, 0), first), Candidate(1.0, 1, (0, 0), second)]
+    got = nms_select(cands, threshold, 4)
+    assert_same_selection(got, nms_select_reference(cands, threshold, 4))
+    assert len(got) == kept
+
+
 def test_nms_bad_arguments_rejected():
     with pytest.raises(ValueError, match="iou_threshold"):
         nms_select([], 1.5, 1)

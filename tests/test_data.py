@@ -1,11 +1,18 @@
 """Synthetic dataset generation and folder ingestion."""
 
+import colorsys
+
 import numpy as np
 import pytest
 
+from patchbank.boxes import Box
 from patchbank.data import (
+    NEUTRAL_SIGNATURE,
+    PatchSignature,
     Sample,
     SynthSpec,
+    _place,
+    _sample_rng,
     default_signatures,
     generate,
     load_folder,
@@ -13,6 +20,85 @@ from patchbank.data import (
     save_dataset,
 )
 from patchbank.imageio import save_ppm
+
+
+# ---------------------------------------------------------------- references
+
+
+def render_patch_reference(sig, size, phase=0.0):
+    """``render_patch`` as it was before it dropped ``np.mgrid``."""
+    ys, xs = np.mgrid[0:size, 0:size]
+    wave = np.sin(2 * np.pi * (np.cos(sig.angle) * xs + np.sin(sig.angle) * ys) / sig.period
+                  + phase)
+    mask = (wave >= 0).astype(np.float64)
+    color = np.asarray(sig.color).reshape(3, 1, 1)
+    bright = 0.5 + 0.5 * sig.contrast
+    dark = 0.5 - 0.45 * sig.contrast
+    return dark + (bright - dark) * mask[None] * color
+
+
+def render_sample_reference(spec, signatures, split, index, label):
+    """One sample as the generator made it before it built per-call tables.
+
+    Everything is recomputed per sample: the interpolation indices, four
+    gathers of the grid, ``np.repeat`` of the grey base and every stamp.
+    The generator under test must give the same bytes.
+    """
+    rng = _sample_rng(spec, split, index)
+    s = spec.image_size
+    grid = rng.random((5, 5))
+    coords = np.linspace(0, 4, s)
+    i0 = np.clip(coords.astype(int), 0, 3)
+    frac = coords - i0
+    i1 = np.minimum(i0 + 1, 4)
+    g00, g10 = grid[i0][:, i0], grid[i1][:, i0]
+    g01, g11 = grid[i0][:, i1], grid[i1][:, i1]
+    fy, fx = frac[:, None], frac[None, :]
+    fieldmap = (g00 * (1 - fy) * (1 - fx) + g10 * fy * (1 - fx)
+                + g01 * (1 - fy) * fx + g11 * fy * fx)
+    image = np.repeat((0.45 + spec.background_amplitude * (fieldmap - 0.5))[None], 3, axis=0)
+
+    tint_label = label
+    if rng.random() >= spec.cue_reliability and spec.classes > 1:
+        others = [c for c in range(spec.classes) if c != label]
+        tint_label = int(rng.choice(others))
+    tint = spec.tint_color(tint_label).reshape(3, 1, 1)
+    image += spec.tint_strength * (tint - 0.5)
+
+    p = spec.patch_size
+    for _ in range(spec.distractors):
+        sig = PatchSignature(
+            color=colorsys.hsv_to_rgb(rng.random(), 0.95, 1.0),
+            angle=float(rng.random() * np.pi),
+            period=float(rng.uniform(2.5, 4.0)),
+            contrast=spec.patch_contrast,
+        )
+        dt = int(rng.integers(0, s - p + 1))
+        dl = int(rng.integers(0, s - p + 1))
+        image[:, dt : dt + p, dl : dl + p] = render_patch_reference(
+            sig, p, phase=float(rng.random() * 6.28))
+
+    top, left = _place(rng, spec)
+    sig = signatures[label]
+    if rng.random() < spec.neutral_patch_rate:
+        sig = NEUTRAL_SIGNATURE
+    image[:, top : top + p, left : left + p] = render_patch_reference(sig, p)
+
+    if spec.noise > 0:
+        image += rng.normal(0.0, spec.noise, size=image.shape)
+    np.clip(image, 0.0, 1.0, out=image)
+    return Sample(image=image, label=label,
+                  truth_box=Box(float(top), float(left), float(top + p), float(left + p)))
+
+
+def generate_reference(spec):
+    signatures = default_signatures(spec.classes, spec.patch_contrast)
+    out = {}
+    for split, per_class in (("train", spec.per_class_train), ("test", spec.per_class_test)):
+        labels = [c for c in range(spec.classes) for _ in range(per_class)]
+        out[split] = [render_sample_reference(spec, signatures, split, i, label)
+                      for i, label in enumerate(labels)]
+    return out["train"], out["test"]
 
 
 def small_spec(**overrides):
@@ -81,6 +167,39 @@ class TestGenerate:
         assert stamp.shape == (3, 12, 12)
         assert stamp.min() >= 0.0 and stamp.max() <= 1.0
 
+    @pytest.mark.parametrize("size", [1, 7, 12])
+    @pytest.mark.parametrize("phase", [0.0, 0.5, 3.1, 6.27])
+    def test_render_patch_matches_reference(self, size, phase):
+        sigs = default_signatures(6, 0.5) + (NEUTRAL_SIGNATURE, PatchSignature(
+            color=(0.2, 0.9, 0.4), angle=2.9, period=2.5, contrast=1.0))
+        for sig in sigs:
+            assert (render_patch(sig, size, phase).tobytes()
+                    == render_patch_reference(sig, size, phase).tobytes())
+
+    # Together these reach every branch of the generator: noise 0 and > 0,
+    # distractors 0 and 3, neutral patch never and always, tint always
+    # wrong and always right, jitter 0 and 1, odd sizes, 1 and 200 classes.
+    @pytest.mark.parametrize("overrides", [
+        dict(),
+        dict(noise=0.0, distractors=0, neutral_patch_rate=1.0, cue_reliability=0.0,
+             patch_contrast=0.5),
+        dict(neutral_patch_rate=0.0, cue_reliability=1.0, jitter=0.0, patch_contrast=0.5),
+        dict(image_size=31, patch_size=9, noise=0.1, seed=3),
+        dict(image_size=17, patch_size=1, distractors=0),
+        dict(classes=1, per_class_train=5, cue_reliability=0.0),
+        dict(classes=200, per_class_train=1, per_class_test=0, image_size=16, patch_size=5),
+    ], ids=["default", "no-noise-no-distractors-neutral", "fixed-place-true-tint",
+            "odd-sizes", "patch-1", "one-class", "200-classes"])
+    def test_generate_matches_reference(self, overrides):
+        spec = small_spec(**overrides)
+        got, want = generate(spec), generate_reference(spec)
+        for got_split, want_split in zip(got, want):
+            assert len(got_split) == len(want_split)
+            for a, b in zip(got_split, want_split):
+                assert a.image.dtype == b.image.dtype and a.image.shape == b.image.shape
+                assert a.image.tobytes() == b.image.tobytes()
+                assert a.label == b.label and a.truth_box == b.truth_box
+
 
 class TestFolders:
     def test_round_trip_save_load(self, tmp_path):
@@ -145,9 +264,31 @@ def _manifest(directory, text):
 @pytest.mark.parametrize("call,message", [
     (lambda d: small_spec(jitter=-0.1), r"jitter must lie in \[0, 1\]"),
     (lambda d: small_spec(jitter=1.5), r"jitter must lie in \[0, 1\]"),
+    (lambda d: small_spec(cue_reliability=1.5), r"cue_reliability must lie in \[0, 1\], got 1\.5"),
+    (lambda d: small_spec(neutral_patch_rate=-0.2),
+     r"neutral_patch_rate must lie in \[0, 1\], got -0\.2"),
+    (lambda d: small_spec(classes=0), "classes must be >= 1, got 0"),
+    (lambda d: small_spec(per_class_train=-2), "per_class_train must be >= 0, got -2"),
+    (lambda d: small_spec(per_class_test=-1), "per_class_test must be >= 0, got -1"),
+    (lambda d: small_spec(patch_size=0), "patch_size must be >= 1, got 0"),
+    (lambda d: small_spec(noise=-0.1), r"noise must be >= 0, got -0\.1"),
+    (lambda d: small_spec(distractors=-1), "distractors must be >= 0, got -1"),
+    (lambda d: small_spec(noise=float("nan")), "noise must be finite, got nan"),
+    (lambda d: small_spec(background_amplitude=float("nan")),
+     "background_amplitude must be finite, got nan"),
+    (lambda d: small_spec(tint_strength=float("inf")), "tint_strength must be finite, got inf"),
+    (lambda d: small_spec(patch_contrast=float("-inf")),
+     "patch_contrast must be finite, got -inf"),
+    (lambda d: small_spec(jitter=float("nan")), "jitter must be finite, got nan"),
     (lambda d: load_folder(_manifest(d, "file,class\ni.ppm,0\n"), 16),
      r"m\.csv: expected 'path,label' header, got \['file', 'class'\]"),
-], ids=["jitter-below", "jitter-above", "manifest-header"])
+    (lambda d: load_folder(_manifest(d, "path,label\n"), 0), "image_size must be >= 1, got 0"),
+    (lambda d: load_folder(_manifest(d, "path,label\n"), -3), "image_size must be >= 1, got -3"),
+], ids=["jitter-below", "jitter-above", "cue-reliability-above", "neutral-rate-below",
+        "no-classes", "negative-train-count", "negative-test-count", "empty-patch",
+        "negative-noise", "negative-distractors", "nan-noise", "nan-background",
+        "inf-tint", "inf-contrast", "nan-jitter", "manifest-header", "image-size-0",
+        "image-size-negative"])
 def test_bad_input_rejected(tmp_path, call, message):
     with pytest.raises(ValueError, match=message):
         call(tmp_path)
