@@ -6,6 +6,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .checks import check_int
+
 
 @dataclass
 class KMeansResult:
@@ -53,6 +55,8 @@ def kmeans(vectors, k: int, seed, max_iter: int = 100) -> KMeansResult:
         points = np.stack([np.asarray(v, dtype=np.float64).reshape(-1) for v in vectors])
     if len(points) < 1:
         raise ValueError("kmeans requires at least one vector")
+    check_int("k", k)
+    check_int("max_iter", max_iter)
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
     if not np.isfinite(points).all():

@@ -21,6 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from .boxes import Box
+from .checks import check_int
 from .imageio import load_ppm, save_ppm
 
 
@@ -72,6 +73,9 @@ class SynthSpec:
                      "background_amplitude", "neutral_patch_rate", "patch_contrast"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
+        for name in ("classes", "per_class_train", "per_class_test", "image_size", "patch_size",
+                     "distractors", "seed"):
+            check_int(name, getattr(self, name))
         for name, least in (("classes", 1), ("per_class_train", 0), ("per_class_test", 0),
                             ("patch_size", 1), ("noise", 0), ("distractors", 0)):
             if getattr(self, name) < least:
@@ -289,6 +293,7 @@ def load_folder(manifest_path, image_size: int) -> list[Sample]:
     Images are nearest-neighbor resized to ``image_size`` and scaled to
     [0, 1].  Paths are taken relative to the manifest location.
     """
+    check_int("image_size", image_size)
     if image_size < 1:
         raise ValueError(f"image_size must be >= 1, got {image_size}")
     manifest_path = Path(manifest_path)

@@ -25,7 +25,9 @@ def _read_token(data: bytes, pos: int) -> tuple[bytes, int]:
     return data[start:pos], pos
 
 
-def _parse_header(raw: bytes, magic: bytes, path) -> tuple[int, int, int]:
+def _read(path, magic: bytes, channels: int) -> np.ndarray:
+    """The (channels, H, W) pixels of a binary Netpbm file as float64 in [0, 1]."""
+    raw = Path(path).read_bytes()
     if raw[:2] != magic:
         raise ValueError(f"{path}: expected {magic.decode()} image, got {raw[:2]!r}")
     pos = 2
@@ -45,25 +47,31 @@ def _parse_header(raw: bytes, magic: bytes, path) -> tuple[int, int, int]:
     if maxval != 255:
         raise ValueError(f"{path}: only maxval 255 is supported, got {maxval}")
     # Exactly one whitespace byte separates the header from the payload.
-    return width, height, pos + 1
+    expected = width * height * channels
+    payload = raw[pos + 1 : pos + 1 + expected]
+    if len(payload) != expected:
+        raise ValueError(f"{path}: expected {expected} pixel bytes, got {len(payload)}")
+    pixels = np.frombuffer(payload, dtype=np.uint8).reshape(height, width, channels)
+    return pixels.transpose(2, 0, 1).astype(np.float64) / 255.0
 
 
-def _check_finite(path, image: np.ndarray) -> None:
+def _write(path, magic: str, image: np.ndarray, normalize: bool = False) -> None:
+    """Write (H, W, channels) values in [0, 1], clipped, as maxval-255 bytes after a
+    ``magic`` header; ``normalize`` first min-max scales the values to [0, 1]."""
     # The u8 cast would write NaN as 0 and inf as 255 without an error.
     if not np.isfinite(image).all():
         raise ValueError(f"{path}: image has NaN or inf values")
+    if normalize:
+        lo, hi = float(image.min()), float(image.max())
+        image = (image - lo) / (hi - lo) if hi > lo else np.zeros_like(image)
+    pixels = np.clip(np.rint(image * 255.0), 0, 255).astype(np.uint8)
+    h, w = pixels.shape[:2]
+    Path(path).write_bytes(f"{magic}\n{w} {h}\n255\n".encode("ascii") + pixels.tobytes())
 
 
 def load_ppm(path) -> np.ndarray:
     """Read a binary P6 PPM into a (3, H, W) float64 array scaled to [0, 1]."""
-    raw = Path(path).read_bytes()
-    width, height, offset = _parse_header(raw, b"P6", path)
-    expected = width * height * 3
-    payload = raw[offset : offset + expected]
-    if len(payload) != expected:
-        raise ValueError(f"{path}: expected {expected} pixel bytes, got {len(payload)}")
-    img = np.frombuffer(payload, dtype=np.uint8).reshape(height, width, 3)
-    return img.transpose(2, 0, 1).astype(np.float64) / 255.0
+    return _read(path, b"P6", 3)
 
 
 def save_ppm(path, image: np.ndarray) -> None:
@@ -71,22 +79,12 @@ def save_ppm(path, image: np.ndarray) -> None:
     image = np.asarray(image)
     if image.ndim != 3 or image.shape[0] != 3:
         raise ValueError(f"expected a (3, H, W) image, got shape {image.shape}")
-    _check_finite(path, image)
-    pixels = np.clip(np.rint(image * 255.0), 0, 255).astype(np.uint8)
-    h, w = pixels.shape[1:]
-    header = f"P6\n{w} {h}\n255\n".encode("ascii")
-    Path(path).write_bytes(header + pixels.transpose(1, 2, 0).tobytes())
+    _write(path, "P6", image.transpose(1, 2, 0))
 
 
 def load_pgm(path) -> np.ndarray:
     """Read a binary P5 PGM into an (H, W) float64 array scaled to [0, 1]."""
-    raw = Path(path).read_bytes()
-    width, height, offset = _parse_header(raw, b"P5", path)
-    expected = width * height
-    payload = raw[offset : offset + expected]
-    if len(payload) != expected:
-        raise ValueError(f"{path}: expected {expected} pixel bytes, got {len(payload)}")
-    return np.frombuffer(payload, dtype=np.uint8).reshape(height, width).astype(np.float64) / 255.0
+    return _read(path, b"P5", 1)[0]
 
 
 def save_pgm(path, image: np.ndarray, normalize: bool = False) -> None:
@@ -98,11 +96,4 @@ def save_pgm(path, image: np.ndarray, normalize: bool = False) -> None:
     image = np.asarray(image, dtype=np.float64)
     if image.ndim != 2:
         raise ValueError(f"expected an (H, W) image, got shape {image.shape}")
-    _check_finite(path, image)
-    if normalize:
-        lo, hi = float(image.min()), float(image.max())
-        image = (image - lo) / (hi - lo) if hi > lo else np.zeros_like(image)
-    pixels = np.clip(np.rint(image * 255.0), 0, 255).astype(np.uint8)
-    h, w = pixels.shape
-    header = f"P5\n{w} {h}\n255\n".encode("ascii")
-    Path(path).write_bytes(header + pixels.tobytes())
+    _write(path, "P5", image[:, :, None], normalize)

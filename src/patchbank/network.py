@@ -3,20 +3,24 @@
 A backbone is an ordered stack of conv/pool/relu layers with named tap
 points.  At each tapped feature map a patch-detector module attaches a
 bank of 1x1 filters (``conv6``), pools each response map to one value
-(``pool6``), classifies the pooled vector (P-Stream), and optionally
-exposes a parameter-free side branch that averages each class's filter
-group (the side stream).  The G-Stream classifies the final backbone
+(``pool6``), classifies the pooled vector (P-Stream), and feeds a
+parameter-free side branch that averages each class's filter group (the
+side stream).  The G-Stream classifies the final backbone
 output.  The G, P and side streams are merged at test time by a weighted
 sum of logits.
 """
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass
+from types import MappingProxyType
+from typing import ClassVar
 
 import numpy as np
 
 from . import ops
+from .checks import check_int
 from .tensor import Tensor, active_tape, resolve_dtype
 
 LAYER_KINDS = ("conv", "pool", "relu")
@@ -37,6 +41,10 @@ class LayerSpec:
     def __post_init__(self):
         if self.kind not in LAYER_KINDS:
             raise ValueError(f"unknown layer kind {self.kind!r}")
+        for name in ("kernel", "stride", "pad"):
+            check_int(name, getattr(self, name))
+        if self.out_channels is not None:
+            check_int("out_channels", self.out_channels)
         if self.kernel < 1 or self.stride < 1 or self.pad < 0:
             raise ValueError(f"bad layer geometry: {self}")
         if self.kind == "conv" and (self.out_channels is None or self.out_channels < 1):
@@ -61,16 +69,24 @@ def relu_layer() -> LayerSpec:
     return LayerSpec("relu")
 
 
-@dataclass
+@dataclass(frozen=True)
 class BackboneSpec:
+    """Layers and named tap points; frozen, with ``taps`` a read-only mapping."""
+
     layers: tuple[LayerSpec, ...]
-    taps: dict[str, int]
+    taps: Mapping[str, int]
 
     def __post_init__(self):
-        self.layers = tuple(self.layers)
+        object.__setattr__(self, "layers", tuple(self.layers))
+        object.__setattr__(self, "taps", MappingProxyType(dict(self.taps)))
         for name, idx in self.taps.items():
+            check_int(f"tap {name!r} index", idx)
             if not 0 <= idx < len(self.layers):
                 raise ValueError(f"tap {name!r} index {idx} out of range")
+
+    def __reduce__(self):
+        # A mappingproxy does not pickle, so copies and pickles rebuild from a dict.
+        return BackboneSpec, (self.layers, dict(self.taps))
 
 
 @dataclass(frozen=True)
@@ -113,25 +129,35 @@ def feature_shapes(spec: BackboneSpec, in_channels: int, input_size: int) -> lis
 
 @dataclass(frozen=True)
 class DFLModuleSpec:
-    """One patch-detector module: a k-per-class 1x1 filter bank at a tap."""
+    """One patch-detector module: k 1x1 filters per class at a tap.
+
+    The class count M is one number for the whole network, so it lives in
+    ``ModelSpec.classes``; a module holds only its tap and its k.
+    """
 
     tap: str
-    classes: int
     filters_per_class: int
-    with_side_branch: bool = True
+    # Every module has the side branch.  Only bench/replay.py reads this
+    # constant; it goes with the replay (ROADMAP item 3).
+    with_side_branch: ClassVar[bool] = True
 
     def __post_init__(self):
-        if self.classes < 2:
-            raise ValueError(f"need at least 2 classes, got {self.classes}")
+        check_int("filters_per_class", self.filters_per_class)
         if self.filters_per_class < 1:
             raise ValueError(f"need at least 1 filter per class, got {self.filters_per_class}")
 
 
-@dataclass
+@dataclass(frozen=True)
 class ModelSpec:
+    """The model's shape, validated once: backbone, modules, input geometry
+    and the class count M that every module's bank and every head share.
+    Frozen, like the specs it holds, so nothing changes after ``__post_init__``.
+    """
+
     backbone: BackboneSpec
     modules: tuple[DFLModuleSpec, ...]
     input_size: int
+    classes: int
     in_channels: int = 3
     pooling: str = "gmp"           # pool6 mode: "gmp" or "gap"
     g_hidden: int = 0              # 0 -> GAP+FC head; >0 -> GAP+FC+ReLU+FC
@@ -140,12 +166,14 @@ class ModelSpec:
     fusion_side: float = 0.1       # per module
 
     def __post_init__(self):
-        self.modules = tuple(self.modules)
+        object.__setattr__(self, "modules", tuple(self.modules))
         if not self.modules:
             raise ValueError("at least one patch-detector module is required")
-        classes = {m.classes for m in self.modules}
-        if len(classes) != 1:
-            raise ValueError(f"all modules must share one class count, got {sorted(classes)}")
+        for name, least in (("input_size", 1), ("classes", 2), ("in_channels", 1), ("g_hidden", 0)):
+            value = getattr(self, name)
+            check_int(name, value)
+            if value < least:
+                raise ValueError(f"{name} must be >= {least}, got {value}")
         if self.pooling not in ("gmp", "gap"):
             raise ValueError(f"pooling must be 'gmp' or 'gap', got {self.pooling!r}")
         _check_fusion_weights(np.array([self.fusion_g, self.fusion_p, self.fusion_side]))
@@ -154,18 +182,10 @@ class ModelSpec:
                 raise ValueError(f"module tap {m.tap!r} is not a backbone tap")
         feature_shapes(self.backbone, self.in_channels, self.input_size)
 
-    @property
-    def classes(self) -> int:
-        return self.modules[0].classes
-
     def default_fusion_weights(self) -> np.ndarray:
-        n_side = sum(1 for m in self.modules if m.with_side_branch)
-        return np.array(
-            [self.fusion_g]
-            + [self.fusion_p] * len(self.modules)
-            + [self.fusion_side] * n_side,
-            dtype=np.float64,
-        )
+        n = len(self.modules)
+        return np.array([self.fusion_g] + [self.fusion_p] * n + [self.fusion_side] * n,
+                        dtype=np.float64)
 
 
 @dataclass
@@ -177,6 +197,8 @@ class FilterBank:
     filters_per_class: int
 
     def __post_init__(self):
+        check_int("classes", self.classes)
+        check_int("filters_per_class", self.filters_per_class)
         km = self.classes * self.filters_per_class
         if self.weight.ndim != 4 or self.weight.shape[0] != km or self.weight.shape[2:] != (1, 1):
             raise ValueError(
@@ -233,26 +255,26 @@ def build_model(spec: ModelSpec, bank_init=None, seed: int = 0, dtype="f64") -> 
     rng = np.random.default_rng(np.random.SeedSequence(entropy=seed))
     params: dict[str, Tensor] = {}
     shapes = feature_shapes(spec.backbone, spec.in_channels, spec.input_size)
+    m = spec.classes
 
-    c_in = spec.in_channels
     for i, layer in enumerate(spec.backbone.layers):
         if layer.kind == "conv":
+            c_in = shapes[i - 1][0] if i else spec.in_channels
             shape = (layer.out_channels, c_in, layer.kernel, layer.kernel)
             params[f"backbone.{i}.weight"] = _uniform(
                 rng, shape, c_in * layer.kernel * layer.kernel, np_dtype
             )
-            c_in = layer.out_channels
 
     for mi, mod in enumerate(spec.modules):
         c_tap = shapes[spec.backbone.taps[mod.tap]][0]
-        km = mod.classes * mod.filters_per_class
+        km = m * mod.filters_per_class
         w6 = _uniform(rng, (km, c_tap, 1, 1), c_tap, np_dtype)
         if bank_init is not None and bank_init[mi] is not None:
             bank = bank_init[mi]
-            if (bank.classes, bank.filters_per_class) != (mod.classes, mod.filters_per_class):
+            if (bank.classes, bank.filters_per_class) != (m, mod.filters_per_class):
                 raise ValueError(
                     f"module {mi} bank has {bank.classes} classes x {bank.filters_per_class} "
-                    f"filters, module needs {mod.classes} x {mod.filters_per_class}"
+                    f"filters, module needs {m} x {mod.filters_per_class}"
                 )
             if bank.weight.shape != (km, c_tap, 1, 1):
                 raise ValueError(
@@ -261,12 +283,10 @@ def build_model(spec: ModelSpec, bank_init=None, seed: int = 0, dtype="f64") -> 
                 )
             w6 = Tensor(bank.weight.data.astype(np_dtype, copy=True), requires_grad=True)
         params[f"module{mi}.conv6.weight"] = w6
-        params[f"module{mi}.phead.weight"] = _uniform(rng, (mod.classes, km), km, np_dtype)
-        params[f"module{mi}.phead.bias"] = Tensor(np.zeros(mod.classes, dtype=np_dtype),
-                                                  requires_grad=True)
+        params[f"module{mi}.phead.weight"] = _uniform(rng, (m, km), km, np_dtype)
+        params[f"module{mi}.phead.bias"] = Tensor(np.zeros(m, dtype=np_dtype), requires_grad=True)
 
     c_final = shapes[-1][0]
-    m = spec.classes
     if spec.g_hidden > 0:
         params["ghead.fc1.weight"] = _uniform(rng, (spec.g_hidden, c_final), c_final, np_dtype)
         params["ghead.fc1.bias"] = Tensor(np.zeros(spec.g_hidden, dtype=np_dtype), requires_grad=True)
@@ -390,8 +410,7 @@ def forward(model: Model, image) -> StreamOutputs:
         pool6.append(vec)
         peaks.append(peak)
         argmaxes.append(argmax)
-        if mod.with_side_branch:
-            side_logits.append(ops.cross_channel_avg_pool(vec, mod.filters_per_class))
+        side_logits.append(ops.cross_channel_avg_pool(vec, mod.filters_per_class))
     return StreamOutputs(g_logits=g_logits, p_logits=p_logits, side_logits=side_logits,
                          pool6=pool6, peak_values=peaks, peak_argmax=argmaxes)
 
@@ -432,10 +451,9 @@ def tinynet_spec(classes: int, filters_per_class: int = 4, input_size: int = 64,
         conv(3, 64, pad=1), relu_layer(),
     )
     backbone = BackboneSpec(layers=layers, taps={"block3": 7, "block4": 9})
-    module = DFLModuleSpec(tap="block3", classes=classes,
-                           filters_per_class=filters_per_class)
+    module = DFLModuleSpec(tap="block3", filters_per_class=filters_per_class)
     return ModelSpec(backbone=backbone, modules=(module,), input_size=input_size,
-                     pooling=pooling, g_hidden=g_hidden)
+                     classes=classes, pooling=pooling, g_hidden=g_hidden)
 
 
 def vgg16_backbone() -> BackboneSpec:

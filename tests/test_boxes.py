@@ -148,6 +148,15 @@ def test_nms_bad_arguments_rejected():
         nms_select([], 0.5, 0)
 
 
+@pytest.mark.parametrize("max_keep", [2.5, True, 2.0])
+def test_nms_max_keep_must_be_an_integer(max_keep):
+    # Four disjoint boxes: a cap that len(kept) never equals would keep all four.
+    cands = [Candidate(float(i), i, (0, 0), Box(0, 3 * i, 2, 3 * i + 2)) for i in range(4)]
+    assert len(nms_select(cands, 0.5, 2)) == 2
+    with pytest.raises(ValueError, match=f"max_keep must be an integer, got {max_keep}"):
+        nms_select(cands, 0.5, max_keep)
+
+
 @pytest.mark.parametrize("corners", [(2.0, 0.0, 1.0, 3.0), (0.0, 2.0, 3.0, 1.0)],
                          ids=["bottom-above-top", "right-left-of-left"])
 def test_degenerate_box_rejected(corners):

@@ -280,15 +280,27 @@ def _manifest(directory, text):
     (lambda d: small_spec(patch_contrast=float("-inf")),
      "patch_contrast must be finite, got -inf"),
     (lambda d: small_spec(jitter=float("nan")), "jitter must be finite, got nan"),
+    (lambda d: small_spec(classes=2.5), "classes must be an integer, got 2.5"),
+    (lambda d: small_spec(classes=True), "classes must be an integer, got True"),
+    (lambda d: small_spec(per_class_train=1.5), "per_class_train must be an integer, got 1.5"),
+    (lambda d: small_spec(per_class_test=0.5), "per_class_test must be an integer, got 0.5"),
+    (lambda d: small_spec(image_size=24.5), "image_size must be an integer, got 24.5"),
+    (lambda d: small_spec(patch_size=8.5), "patch_size must be an integer, got 8.5"),
+    (lambda d: small_spec(distractors=1.5), "distractors must be an integer, got 1.5"),
+    (lambda d: small_spec(seed=True), "seed must be an integer, got True"),
     (lambda d: load_folder(_manifest(d, "file,class\ni.ppm,0\n"), 16),
      r"m\.csv: expected 'path,label' header, got \['file', 'class'\]"),
     (lambda d: load_folder(_manifest(d, "path,label\n"), 0), "image_size must be >= 1, got 0"),
     (lambda d: load_folder(_manifest(d, "path,label\n"), -3), "image_size must be >= 1, got -3"),
+    (lambda d: load_folder(_manifest(d, "path,label\n"), 16.5),
+     "image_size must be an integer, got 16.5"),
 ], ids=["jitter-below", "jitter-above", "cue-reliability-above", "neutral-rate-below",
         "no-classes", "negative-train-count", "negative-test-count", "empty-patch",
         "negative-noise", "negative-distractors", "nan-noise", "nan-background",
-        "inf-tint", "inf-contrast", "nan-jitter", "manifest-header", "image-size-0",
-        "image-size-negative"])
+        "inf-tint", "inf-contrast", "nan-jitter", "float-classes", "bool-classes",
+        "float-train-count", "float-test-count", "float-image-size", "float-patch-size",
+        "float-distractors", "bool-seed", "manifest-header", "image-size-0",
+        "image-size-negative", "image-size-float"])
 def test_bad_input_rejected(tmp_path, call, message):
     with pytest.raises(ValueError, match=message):
         call(tmp_path)

@@ -1,5 +1,10 @@
 """Model construction, receptive-field arithmetic, forward pass, fusion."""
 
+import copy
+import dataclasses
+import pickle
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -170,15 +175,16 @@ class TestBuildModel:
     def test_two_modules_two_p_streams_one_g_stream(self):
         base = tinynet_spec(classes=4, filters_per_class=2)
         mods = (
-            DFLModuleSpec(tap="block3", classes=4, filters_per_class=2),
-            DFLModuleSpec(tap="block4", classes=4, filters_per_class=2),
+            DFLModuleSpec(tap="block3", filters_per_class=2),
+            DFLModuleSpec(tap="block4", filters_per_class=2),
         )
-        spec = ModelSpec(backbone=base.backbone, modules=mods, input_size=64)
+        spec = ModelSpec(backbone=base.backbone, modules=mods, input_size=64, classes=4)
         model = build_model(spec, seed=0)
         outs = forward(model, np.zeros((3, 64, 64)))
         assert len(outs.p_logits) == 2
         assert len(outs.side_logits) == 2
         assert outs.g_logits.shape == (4,)
+        np.testing.assert_array_equal(spec.default_fusion_weights(), [1.0, 1.0, 1.0, 0.1, 0.1])
 
     def test_bank_init_copied_bit_exactly(self):
         spec = tinynet_spec(classes=4, filters_per_class=3)
@@ -233,8 +239,9 @@ def hand_trace(x, w1, w6, wp, bp, wg, bg):
 def two_module_spec():
     """tinynet with a patch module at block3 and another at block4, GMP pooling."""
     spec = tinynet_spec(classes=4, filters_per_class=3)
-    modules = (spec.modules[0], DFLModuleSpec(tap="block4", classes=4, filters_per_class=2))
-    return ModelSpec(backbone=spec.backbone, modules=modules, input_size=spec.input_size)
+    modules = (spec.modules[0], DFLModuleSpec(tap="block4", filters_per_class=2))
+    return ModelSpec(backbone=spec.backbone, modules=modules, input_size=spec.input_size,
+                     classes=spec.classes)
 
 
 def walk_backbone(model, x):
@@ -302,8 +309,9 @@ class TestForward:
         backbone = BackboneSpec(layers=(conv(1, 3),), taps={"t": 0})
         spec = ModelSpec(
             backbone=backbone,
-            modules=(DFLModuleSpec(tap="t", classes=2, filters_per_class=1),),
+            modules=(DFLModuleSpec(tap="t", filters_per_class=1),),
             input_size=2,
+            classes=2,
             in_channels=2,
         )
         model = build_model(spec, seed=9)
@@ -378,8 +386,8 @@ class TestForward:
     def test_conv_relu_fused_unless_pre_relu_map_is_read(self, monkeypatch, tap, idx, fused):
         base = tinynet_spec(4, 3, 32)
         backbone = BackboneSpec(base.backbone.layers, {**base.backbone.taps, "conv3": 6})
-        module = DFLModuleSpec(tap=tap, classes=4, filters_per_class=3)
-        model = build_model(ModelSpec(backbone, (module,), 32), seed=15)
+        module = DFLModuleSpec(tap=tap, filters_per_class=3)
+        model = build_model(ModelSpec(backbone, (module,), 32, 4), seed=15)
         params = model.params
         x = Tensor(np.random.default_rng(16).random((2, 3, 32, 32)), requires_grad=True)
         labels = np.array([1, 3])
@@ -608,12 +616,46 @@ class TestSpecValidation:
     def test_non_finite_fusion_weight_rejected(self, field, bad):
         base = tinynet_spec(classes=4)
         with pytest.raises(ValueError, match="finite"):
-            ModelSpec(backbone=base.backbone, modules=base.modules, input_size=64,
+            ModelSpec(backbone=base.backbone, modules=base.modules, input_size=64, classes=4,
                       **{field: bad})
 
     def test_module_needs_two_classes(self):
-        with pytest.raises(ValueError, match="classes"):
-            DFLModuleSpec(tap="t", classes=1, filters_per_class=2)
+        with pytest.raises(ValueError, match="classes must be >= 2, got 1"):
+            tinynet_spec(classes=1)
+
+    def test_class_count_lives_in_model_spec(self):
+        assert [f.name for f in dataclasses.fields(DFLModuleSpec)] == ["tap", "filters_per_class"]
+        assert "classes" in [f.name for f in dataclasses.fields(ModelSpec)]
+        assert tinynet_spec(classes=5).classes == 5
+
+    def test_nothing_in_src_reads_with_side_branch(self):
+        # Every module has the side branch; the constant stays for bench/replay.py alone.
+        uses = [(path.name, line.strip())
+                for path in sorted(Path(network.__file__).parent.glob("*.py"))
+                for line in path.read_text().splitlines() if "with_side_branch" in line]
+        assert uses == [("network.py", "with_side_branch: ClassVar[bool] = True")]
+
+    def test_specs_cannot_change_after_validation(self):
+        spec = tinynet_spec(classes=4)
+        for target, name, value in [(spec, "pooling", "max"), (spec, "fusion_side", -5.0),
+                                    (spec, "classes", 3), (spec.backbone, "layers", ()),
+                                    (spec.backbone, "taps", {})]:
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(target, name, value)
+        with pytest.raises(TypeError):
+            spec.backbone.taps["block3"] = 0
+        taps = {"t": 0}
+        backbone = BackboneSpec(layers=(conv(3, 4),), taps=taps)
+        taps["t"] = 5  # the spec keeps its own copy of the caller's mapping
+        assert backbone.taps == {"t": 0}
+        assert (spec.pooling, spec.fusion_side, spec.backbone.taps["block3"]) == ("gmp", 0.1, 7)
+
+    def test_specs_survive_pickle_and_deepcopy(self):
+        spec = two_module_spec()
+        for copied in (pickle.loads(pickle.dumps(spec)), copy.deepcopy(spec)):
+            assert copied == spec and copied is not spec
+            with pytest.raises(TypeError):
+                copied.backbone.taps["block3"] = 0
 
     @pytest.mark.parametrize("make,message", [
         (lambda: LayerSpec("norm"), "unknown layer kind 'norm'"),
@@ -625,25 +667,51 @@ class TestSpecValidation:
         (lambda: LayerSpec("relu", kernel=3), "relu layers take kernel=1, stride=1, pad=0"),
         (lambda: LayerSpec("relu", stride=2), "relu layers take kernel=1, stride=1, pad=0"),
         (lambda: LayerSpec("relu", pad=1), "relu layers take kernel=1, stride=1, pad=0"),
-        (lambda: DFLModuleSpec(tap="t", classes=2, filters_per_class=0),
+        (lambda: DFLModuleSpec(tap="t", filters_per_class=0),
          "need at least 1 filter per class, got 0"),
-        (lambda: ModelSpec(backbone=tinynet_spec(4).backbone, modules=(), input_size=64),
-         "at least one patch-detector module is required"),
-        (lambda: ModelSpec(backbone=tinynet_spec(4).backbone, input_size=64,
-                           modules=(DFLModuleSpec("block3", 4, 2), DFLModuleSpec("block4", 3, 2))),
-         r"all modules must share one class count, got \[3, 4\]"),
+        (lambda: ModelSpec(backbone=tinynet_spec(4).backbone, modules=(), input_size=64,
+                           classes=4), "at least one patch-detector module is required"),
         (lambda: ModelSpec(backbone=tinynet_spec(4).backbone, modules=tinynet_spec(4).modules,
-                           input_size=64, pooling="avg"), "pooling must be 'gmp' or 'gap', got 'avg'"),
-        (lambda: ModelSpec(backbone=tinynet_spec(4).backbone, input_size=64,
-                           modules=(DFLModuleSpec("conv6", 4, 2),)),
+                           input_size=64, classes=4, pooling="avg"),
+         "pooling must be 'gmp' or 'gap', got 'avg'"),
+        (lambda: ModelSpec(backbone=tinynet_spec(4).backbone, input_size=64, classes=4,
+                           modules=(DFLModuleSpec("conv6", 2),)),
          "module tap 'conv6' is not a backbone tap"),
         (lambda: FilterBank(weight=Tensor(np.zeros((8, 4, 3, 3))), classes=4, filters_per_class=2),
          r"filter bank weight must be \(8, C, 1, 1\), got \(8, 4, 3, 3\)"),
         (lambda: build_model(tinynet_spec(4), bank_init=[]),
          r"bank_init must have one entry per module \(1\), got 0"),
+        (lambda: FilterBank(weight=Tensor(np.zeros((5, 4, 1, 1))), classes=2.5, filters_per_class=2),
+         "classes must be an integer, got 2.5"),
+        (lambda: FilterBank(weight=Tensor(np.zeros((4, 4, 1, 1))), classes=2, filters_per_class=True),
+         "filters_per_class must be an integer, got True"),
+        (lambda: conv(2.5, 4), "kernel must be an integer, got 2.5"),
+        (lambda: conv(True, 4), "kernel must be an integer, got True"),
+        (lambda: conv(3, 4.5), "out_channels must be an integer, got 4.5"),
+        (lambda: conv(3, 4, stride=1.5), "stride must be an integer, got 1.5"),
+        (lambda: conv(3, 4, pad=0.5), "pad must be an integer, got 0.5"),
+        (lambda: BackboneSpec(layers=(conv(3, 4),), taps={"t": 0.0}),
+         "tap 't' index must be an integer, got 0.0"),
+        (lambda: DFLModuleSpec(tap="t", filters_per_class=2.5),
+         "filters_per_class must be an integer, got 2.5"),
+        (lambda: tinynet_spec(2.5), "classes must be an integer, got 2.5"),
+        (lambda: tinynet_spec(True), "classes must be an integer, got True"),
+        (lambda: tinynet_spec(3, 2, 16.5), "input_size must be an integer, got 16.5"),
+        (lambda: tinynet_spec(4, g_hidden=2.5), "g_hidden must be an integer, got 2.5"),
+        (lambda: tinynet_spec(4, g_hidden=-3), "g_hidden must be >= 0, got -3"),
+        (lambda: ModelSpec(backbone=tinynet_spec(4).backbone, modules=tinynet_spec(4).modules,
+                           input_size=64, classes=4, in_channels=0),
+         "in_channels must be >= 1, got 0"),
+        (lambda: ModelSpec(backbone=tinynet_spec(4).backbone, modules=tinynet_spec(4).modules,
+                           input_size=64, classes=4, in_channels=3.0),
+         "in_channels must be an integer, got 3.0"),
     ], ids=["layer-kind", "layer-geometry", "conv-out-channels", "pool-out-channels", "pool-pad",
             "relu-kernel", "relu-stride", "relu-pad", "module-filters", "no-modules",
-            "class-counts", "pooling", "module-tap", "bank-weight", "bank-init-length"])
+            "pooling", "module-tap", "bank-weight", "bank-init-length", "float-bank-classes",
+            "bool-bank-filters", "float-kernel",
+            "bool-kernel", "float-out-channels", "float-stride", "float-pad", "float-tap-index",
+            "float-filters", "float-classes", "bool-classes", "float-input-size",
+            "float-g-hidden", "negative-g-hidden", "no-in-channels", "float-in-channels"])
     def test_bad_spec_rejected(self, make, message):
         with pytest.raises(ValueError, match=message):
             make()
