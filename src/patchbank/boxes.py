@@ -66,9 +66,7 @@ def nms_select(candidates, iou_threshold: float, max_keep: int):
     """
     if not 0.0 <= iou_threshold <= 1.0:
         raise ValueError(f"iou_threshold must be in [0, 1], got {iou_threshold}")
-    check_int("max_keep", max_keep)
-    if max_keep < 1:
-        raise ValueError(f"max_keep must be >= 1, got {max_keep}")
+    check_int("max_keep", max_keep, 1)
     ordered = sorted(candidates, key=lambda c: (-c.energy, c.image_id, c.location))
     kept = []
     kept_boxes = []    # (top, left, bottom, right, area) of each kept box

@@ -8,6 +8,9 @@ import numpy as np
 
 from .checks import check_int
 
+# Lloyd iterations before giving up on convergence.
+MAX_ITER = 100
+
 
 @dataclass
 class KMeansResult:
@@ -41,24 +44,22 @@ def _seed_plusplus(points: np.ndarray, k: int, rng: np.random.Generator) -> np.n
     return centers
 
 
-def kmeans(vectors, k: int, seed, max_iter: int = 100) -> KMeansResult:
-    """Cluster vectors into k groups with Lloyd's algorithm.
+def kmeans(vectors, k: int, seed) -> KMeansResult:
+    """Cluster the rows of an (n, C) array into k groups with Lloyd's algorithm.
 
     Seeding is k-means++ from the given seed (an int, SeedSequence, or
-    Generator).  Assignment ties go to the smallest center index; a
-    cluster that empties is re-seeded at the point farthest from its
-    assigned center.  If fewer than k vectors are given, the list is
-    extended cyclically to length k.  Non-finite vectors are rejected.
+    Generator), and at most ``MAX_ITER`` iterations run.  Assignment ties
+    go to the smallest center index; a cluster that empties is re-seeded
+    at the point farthest from its assigned center.  If fewer than k rows
+    are given, they are repeated cyclically to k.  Non-finite vectors are
+    rejected.
     """
     points = np.asarray(vectors, dtype=np.float64)
-    if points.ndim != 2:
-        points = np.stack([np.asarray(v, dtype=np.float64).reshape(-1) for v in vectors])
-    if len(points) < 1:
+    if points.size == 0:
         raise ValueError("kmeans requires at least one vector")
-    check_int("k", k)
-    check_int("max_iter", max_iter)
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
+    if points.ndim != 2:
+        raise ValueError(f"kmeans vectors must be an (n, C) array, got shape {points.shape}")
+    check_int("k", k, 1)
     if not np.isfinite(points).all():
         raise ValueError("kmeans vectors must be finite, got NaN or inf")
     n = len(points)
@@ -72,7 +73,7 @@ def kmeans(vectors, k: int, seed, max_iter: int = 100) -> KMeansResult:
     history: list[float] = []
     assign = None
     it = 0
-    for it in range(1, max_iter + 1):
+    for it in range(1, MAX_ITER + 1):
         d2 = _sq_dists(points, centers)
         new_assign = d2.argmin(axis=1)
         history.append(float(d2[np.arange(n), new_assign].sum()))

@@ -293,9 +293,7 @@ def load_folder(manifest_path, image_size: int) -> list[Sample]:
     Images are nearest-neighbor resized to ``image_size`` and scaled to
     [0, 1].  Paths are taken relative to the manifest location.
     """
-    check_int("image_size", image_size)
-    if image_size < 1:
-        raise ValueError(f"image_size must be >= 1, got {image_size}")
+    check_int("image_size", image_size, 1)
     manifest_path = Path(manifest_path)
     root = manifest_path.parent
     samples = []

@@ -2,12 +2,12 @@
 
 A backbone is an ordered stack of conv/pool/relu layers with named tap
 points.  At each tapped feature map a patch-detector module attaches a
-bank of 1x1 filters (``conv6``), pools each response map to one value
-(``pool6``), classifies the pooled vector (P-Stream), and feeds a
-parameter-free side branch that averages each class's filter group (the
-side stream).  The G-Stream classifies the final backbone
-output.  The G, P and side streams are merged at test time by a weighted
-sum of logits.
+bank of 1x1 filters (``conv6``), pools each response map to one value by
+global max or average pooling, classifies the pooled vector (P-Stream),
+and feeds a parameter-free side branch that averages each class's filter
+group (the side stream).  The G-Stream is one GAP+FC head: it averages
+the final backbone map over space and classifies that vector.  The G, P
+and side streams are merged at test time by a weighted sum of logits.
 """
 
 from __future__ import annotations
@@ -96,16 +96,20 @@ class ReceptiveFieldInfo:
     offset: float  # image-space center of site (0, 0)
 
 
+def _tap_index(spec: BackboneSpec, tap: str) -> int:
+    if tap not in spec.taps:
+        raise KeyError(f"unknown tap {tap!r}; available: {sorted(spec.taps)}")
+    return spec.taps[tap]
+
+
 def receptive_field(spec: BackboneSpec, tap: str) -> ReceptiveFieldInfo:
     """Receptive field size/stride/offset of the feature map at a tap point.
 
     Composition recurrence: size += (kernel-1)*jump, offset moves by
     ((kernel-1)/2 - pad)*jump, jump *= stride.
     """
-    if tap not in spec.taps:
-        raise KeyError(f"unknown tap {tap!r}; available: {sorted(spec.taps)}")
     size, jump, offset = 1, 1, 0.0
-    for layer in spec.layers[: spec.taps[tap] + 1]:
+    for layer in spec.layers[: _tap_index(spec, tap) + 1]:
         size += (layer.kernel - 1) * jump
         offset += ((layer.kernel - 1) / 2.0 - layer.pad) * jump
         jump *= layer.stride
@@ -138,7 +142,7 @@ class DFLModuleSpec:
     tap: str
     filters_per_class: int
     # Every module has the side branch.  Only bench/replay.py reads this
-    # constant; it goes with the replay (ROADMAP item 3).
+    # constant and ModelSpec.g_hidden; both go with the replay (ROADMAP item 3).
     with_side_branch: ClassVar[bool] = True
 
     def __post_init__(self):
@@ -159,21 +163,19 @@ class ModelSpec:
     input_size: int
     classes: int
     in_channels: int = 3
-    pooling: str = "gmp"           # pool6 mode: "gmp" or "gap"
-    g_hidden: int = 0              # 0 -> GAP+FC head; >0 -> GAP+FC+ReLU+FC
+    pooling: str = "gmp"           # conv6 readout: "gmp" or "gap"
     fusion_g: float = 1.0
     fusion_p: float = 1.0          # per module
     fusion_side: float = 0.1       # per module
+    # Always 0: the G-stream is one GAP+FC head.  Kept for bench/replay.py; see DFLModuleSpec.
+    g_hidden: ClassVar[int] = 0
 
     def __post_init__(self):
         object.__setattr__(self, "modules", tuple(self.modules))
         if not self.modules:
             raise ValueError("at least one patch-detector module is required")
-        for name, least in (("input_size", 1), ("classes", 2), ("in_channels", 1), ("g_hidden", 0)):
-            value = getattr(self, name)
-            check_int(name, value)
-            if value < least:
-                raise ValueError(f"{name} must be >= {least}, got {value}")
+        for name, least in (("input_size", 1), ("classes", 2), ("in_channels", 1)):
+            check_int(name, getattr(self, name), least)
         if self.pooling not in ("gmp", "gap"):
             raise ValueError(f"pooling must be 'gmp' or 'gap', got {self.pooling!r}")
         _check_fusion_weights(np.array([self.fusion_g, self.fusion_p, self.fusion_side]))
@@ -197,6 +199,8 @@ class FilterBank:
     filters_per_class: int
 
     def __post_init__(self):
+        if not isinstance(self.weight, Tensor):
+            raise ValueError(f"filter bank weight must be a Tensor, got {type(self.weight).__name__}")
         check_int("classes", self.classes)
         check_int("filters_per_class", self.filters_per_class)
         km = self.classes * self.filters_per_class
@@ -216,8 +220,7 @@ class StreamOutputs:
     g_logits: Tensor
     p_logits: list[Tensor]
     side_logits: list[Tensor]
-    pool6: list[Tensor]            # (..., k*M) P-stream input: the GMP or GAP of each conv6 map
-    peak_values: list[Tensor]      # (..., k*M) GMP of each conv6 map; pool6's own tensor under GMP
+    peak_values: list[Tensor]      # (..., k*M) GMP of each conv6 map, the P-stream input under GMP
     peak_argmax: list[np.ndarray]  # (..., k*M, 2) int (h, w) of each conv6 map's peak
 
 
@@ -248,6 +251,7 @@ def build_model(spec: ModelSpec, bank_init=None, seed: int = 0, dtype="f64") -> 
     with the same seed share every other parameter.
     """
     np_dtype = resolve_dtype(dtype)
+    check_int("seed", seed, 0)
     if bank_init is not None and len(bank_init) != len(spec.modules):
         raise ValueError(
             f"bank_init must have one entry per module ({len(spec.modules)}), got {len(bank_init)}"
@@ -281,20 +285,16 @@ def build_model(spec: ModelSpec, bank_init=None, seed: int = 0, dtype="f64") -> 
                     f"module {mi} bank shape {bank.weight.shape} does not match "
                     f"required ({km}, {c_tap}, 1, 1)"
                 )
+            if not np.isfinite(bank.weight.data).all():
+                raise ValueError(f"module {mi} bank weight has NaN or inf values")
             w6 = Tensor(bank.weight.data.astype(np_dtype, copy=True), requires_grad=True)
         params[f"module{mi}.conv6.weight"] = w6
         params[f"module{mi}.phead.weight"] = _uniform(rng, (m, km), km, np_dtype)
         params[f"module{mi}.phead.bias"] = Tensor(np.zeros(m, dtype=np_dtype), requires_grad=True)
 
     c_final = shapes[-1][0]
-    if spec.g_hidden > 0:
-        params["ghead.fc1.weight"] = _uniform(rng, (spec.g_hidden, c_final), c_final, np_dtype)
-        params["ghead.fc1.bias"] = Tensor(np.zeros(spec.g_hidden, dtype=np_dtype), requires_grad=True)
-        params["ghead.fc2.weight"] = _uniform(rng, (m, spec.g_hidden), spec.g_hidden, np_dtype)
-        params["ghead.fc2.bias"] = Tensor(np.zeros(m, dtype=np_dtype), requires_grad=True)
-    else:
-        params["ghead.weight"] = _uniform(rng, (m, c_final), c_final, np_dtype)
-        params["ghead.bias"] = Tensor(np.zeros(m, dtype=np_dtype), requires_grad=True)
+    params["ghead.weight"] = _uniform(rng, (m, c_final), c_final, np_dtype)
+    params["ghead.bias"] = Tensor(np.zeros(m, dtype=np_dtype), requires_grad=True)
     return Model(spec, params)
 
 
@@ -353,8 +353,8 @@ def tap_features(model: Model, image, tap: str) -> Tensor:
     Without an active tape the prefix runs on a few images at a time
     (``BACKBONE_CHUNK``); the result is byte-equal to a whole-batch pass.
     """
+    idx = _tap_index(model.spec.backbone, tap)
     x = _check_input(model, image)
-    idx = model.spec.backbone.taps[tap]
     out, _ = _run_backbone(model, x, upto=idx)
     return out
 
@@ -380,19 +380,10 @@ def forward(model: Model, image) -> StreamOutputs:
     tap_idx = {spec.backbone.taps[m.tap] for m in spec.modules}
     final, taps = _run_backbone(model, x, keep=tap_idx)
 
-    pooled = ops.global_avg_pool(final)
-    if spec.g_hidden > 0:
-        hidden = ops.relu(
-            ops.fully_connected(pooled, model.params["ghead.fc1.weight"],
-                                model.params["ghead.fc1.bias"])
-        )
-        g_logits = ops.fully_connected(hidden, model.params["ghead.fc2.weight"],
-                                       model.params["ghead.fc2.bias"])
-    else:
-        g_logits = ops.fully_connected(pooled, model.params["ghead.weight"],
-                                       model.params["ghead.bias"])
+    g_logits = ops.fully_connected(ops.global_avg_pool(final), model.params["ghead.weight"],
+                                   model.params["ghead.bias"])
 
-    p_logits, side_logits, pool6, peaks, argmaxes = [], [], [], [], []
+    p_logits, side_logits, peaks, argmaxes = [], [], [], []
     for mi, mod in enumerate(spec.modules):
         tap_feat = taps[spec.backbone.taps[mod.tap]]
         w6 = model.params[f"module{mi}.conv6.weight"]
@@ -407,12 +398,11 @@ def forward(model: Model, image) -> StreamOutputs:
             ops.fully_connected(vec, model.params[f"module{mi}.phead.weight"],
                                 model.params[f"module{mi}.phead.bias"])
         )
-        pool6.append(vec)
         peaks.append(peak)
         argmaxes.append(argmax)
         side_logits.append(ops.cross_channel_avg_pool(vec, mod.filters_per_class))
     return StreamOutputs(g_logits=g_logits, p_logits=p_logits, side_logits=side_logits,
-                         pool6=pool6, peak_values=peaks, peak_argmax=argmaxes)
+                         peak_values=peaks, peak_argmax=argmaxes)
 
 
 def logit_streams(outputs: StreamOutputs) -> list[Tensor]:
@@ -440,7 +430,7 @@ def fuse_predictions(outputs: StreamOutputs, weights) -> tuple[Tensor, np.ndarra
 
 
 def tinynet_spec(classes: int, filters_per_class: int = 4, input_size: int = 64,
-                 pooling: str = "gmp", g_hidden: int = 0) -> ModelSpec:
+                 pooling: str = "gmp") -> ModelSpec:
     """Desk-scale default backbone: four 3x3 conv blocks (16,32,64,64), 2x2
     pools after blocks 1 and 2, patch module tapped after block 3
     (receptive field 18, stride 4 on the input)."""
@@ -453,7 +443,7 @@ def tinynet_spec(classes: int, filters_per_class: int = 4, input_size: int = 64,
     backbone = BackboneSpec(layers=layers, taps={"block3": 7, "block4": 9})
     module = DFLModuleSpec(tap="block3", filters_per_class=filters_per_class)
     return ModelSpec(backbone=backbone, modules=(module,), input_size=input_size,
-                     classes=classes, pooling=pooling, g_hidden=g_hidden)
+                     classes=classes, pooling=pooling)
 
 
 def vgg16_backbone() -> BackboneSpec:

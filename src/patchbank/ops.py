@@ -27,6 +27,7 @@ from __future__ import annotations
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
+from .checks import check_int
 from .tensor import Tensor, active_tape
 
 
@@ -121,11 +122,8 @@ def conv2d(x: Tensor, weight: Tensor, stride: int = 1, pad: int = 0,
     if wd.ndim != 4:
         raise ValueError(f"conv2d weight must be (C_out, C_in, kh, kw), got {weight.shape}")
     xb = _as_batch(xd, 3, "conv2d input must be (C,H,W) or (N,C,H,W)")
-    stride, pad = int(stride), int(pad)
-    if stride < 1:
-        raise ValueError(f"conv2d stride must be >= 1, got {stride}")
-    if pad < 0:
-        raise ValueError(f"conv2d pad must be >= 0, got {pad}")
+    check_int("conv2d stride", stride, 1)
+    check_int("conv2d pad", pad, 0)
     co, ci, kh, kw = wd.shape
     n, c, h, w = xb.shape
     if c != ci:
@@ -269,7 +267,8 @@ def maxpool2d(x: Tensor, window: int, stride: int) -> Tensor:
     xd = x.data
     if xd.ndim not in (3, 4):
         raise ValueError(f"maxpool2d input must be (C,H,W) or (N,C,H,W), got {x.shape}")
-    window, stride = int(window), int(stride)
+    check_int("maxpool2d window", window)
+    check_int("maxpool2d stride", stride)
     if window < 1 or stride < 1:
         raise ValueError(f"maxpool2d window and stride must be >= 1, got {window}, {stride}")
     h, w = xd.shape[-2:]
@@ -364,9 +363,7 @@ def cross_channel_avg_pool(x: Tensor, k: int) -> Tensor:
     """
     x = _as_tensor(x)
     xd = x.data
-    k = int(k)
-    if k < 1:
-        raise ValueError(f"group size must be >= 1, got {k}")
+    check_int("group size", k, 1)
     d = xd.shape[-1]
     if d % k != 0:
         raise ValueError(f"input length {d} is not divisible by group size {k}")

@@ -41,6 +41,9 @@ class Tensor:
         if isinstance(data, Tensor):
             data = data.data
         arr = np.asarray(data)
+        if arr.dtype.kind == "c":
+            # A cast would keep the real part and only warn.
+            raise ValueError(f"tensor data must be real, got dtype {arr.dtype}")
         if dtype is not None:
             arr = arr.astype(resolve_dtype(dtype), copy=False)
         elif arr.dtype != np.float32 and arr.dtype != np.float64:

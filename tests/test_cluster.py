@@ -1,5 +1,6 @@
 """Lloyd's k-means with k-means++ seeding."""
 
+import inspect
 import warnings
 
 import numpy as np
@@ -59,16 +60,22 @@ def test_emptied_cluster_is_reseeded(distinct, extra, copies, pyrng):
     assert res.objective == 0.0
 
 
-@pytest.mark.parametrize("vectors,k,max_iter,message", [
-    (np.zeros((0, 2)), 1, 100, "kmeans requires at least one vector"),
-    (np.zeros((3, 2)), 0, 100, "k must be >= 1, got 0"),
-    (np.zeros((3, 2)), 2.5, 100, "k must be an integer, got 2.5"),
-    (np.zeros((3, 2)), True, 100, "k must be an integer, got True"),
-    (np.zeros((3, 2)), 2, 2.5, "max_iter must be an integer, got 2.5"),
-], ids=["no-vectors", "k-zero", "k-float", "k-bool", "max-iter-float"])
-def test_bad_arguments_rejected(vectors, k, max_iter, message):
+@pytest.mark.parametrize("vectors,k,message", [
+    (np.zeros((0, 2)), 1, "kmeans requires at least one vector"),
+    ([], 1, "kmeans requires at least one vector"),
+    (np.zeros(3), 1, r"kmeans vectors must be an \(n, C\) array, got shape \(3,\)"),
+    (np.zeros((2, 3, 4)), 1, r"kmeans vectors must be an \(n, C\) array, got shape \(2, 3, 4\)"),
+    (np.zeros((3, 2)), 0, "k must be >= 1, got 0"),
+    (np.zeros((3, 2)), 2.5, "k must be an integer, got 2.5"),
+    (np.zeros((3, 2)), True, "k must be an integer, got True"),
+], ids=["no-vectors", "empty-list", "rank-1", "rank-3", "k-zero", "k-float", "k-bool"])
+def test_bad_arguments_rejected(vectors, k, message):
     with pytest.raises(ValueError, match=message):
-        kmeans(vectors, k, seed=0, max_iter=max_iter)
+        kmeans(vectors, k, seed=0)
+
+
+def test_takes_vectors_k_and_seed_only():
+    assert list(inspect.signature(kmeans).parameters) == ["vectors", "k", "seed"]
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])

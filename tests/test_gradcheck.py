@@ -155,6 +155,33 @@ def test_rejects_non_scalar_objective():
         finite_difference_check(lambda t: ops.relu(t), Tensor(np.ones(3)))
 
 
+@pytest.mark.parametrize("f", [
+    lambda t: ops.tsum(ops.scale(t, np.nan)),  # NaN taped and numeric gradients
+    lambda t: ops.tsum(ops.scale(t, 1e10)),    # finite taped gradient, inf - inf numerically
+], ids=["nan-gradient", "inf-objective"])
+def test_non_finite_gradient_fails_the_check(f):
+    # The builtin max drops a NaN error, which read as a perfect 0.0.
+    with np.errstate(over="ignore"):
+        err = finite_difference_check(f, Tensor(np.full(3, 1e300)), eps=EPS)
+    assert np.isnan(err) and not err < TOL
+
+
+@pytest.mark.parametrize("kwargs,message", [
+    ({"eps": np.nan}, "eps must be finite and > 0, got nan"),
+    ({"eps": np.inf}, "eps must be finite and > 0, got inf"),
+    ({"eps": 0.0}, "eps must be finite and > 0, got 0.0"),
+    ({"eps": -EPS}, "eps must be finite and > 0, got -0.0001"),
+    ({"max_coords": 0}, "max_coords must be >= 1, got 0"),
+    ({"max_coords": -1}, "max_coords must be >= 1, got -1"),
+    ({"max_coords": 2.5}, "max_coords must be an integer, got 2.5"),
+    ({"max_coords": True}, "max_coords must be an integer, got True"),
+], ids=["eps-nan", "eps-inf", "eps-zero", "eps-negative", "max-coords-zero",
+        "max-coords-negative", "max-coords-float", "max-coords-bool"])
+def test_bad_arguments_rejected(kwargs, message):
+    with pytest.raises(ValueError, match=message):
+        finite_difference_check(ops.tsum, Tensor(np.ones(3)), **kwargs)
+
+
 def test_objective_that_ignores_x_has_zero_gradient():
     c = Tensor(np.arange(3.0))
     assert finite_difference_check(lambda t: ops.tsum(c), Tensor(np.ones(3)), eps=EPS) == 0.0
@@ -163,7 +190,7 @@ def test_objective_that_ignores_x_has_zero_gradient():
 @pytest.mark.parametrize("pooling", ["gmp", "gap"])
 def test_whole_model_three_stream_loss(pooling):
     """Every parameter of a small tinynet under L_G + L_P + 0.1 * L_side."""
-    spec = tinynet_spec(3, 2, 16, pooling=pooling, g_hidden=4)
+    spec = tinynet_spec(3, 2, 16, pooling=pooling)
     model = build_model(spec, seed=0)
     rng = np.random.default_rng(15)
     images = rng.random((2, 3, 16, 16))
@@ -175,7 +202,7 @@ def test_whole_model_three_stream_loss(pooling):
                         ops.softmax_cross_entropy(out.p_logits[0], labels))
         return ops.add(total, ops.scale(ops.softmax_cross_entropy(out.side_logits[0], labels), 0.1))
 
-    assert len(model.params) == 11
+    assert len(model.params) == 9
     for i, (name, param) in enumerate(model.params.items()):
         f = lambda t: loss({**model.params, name: t})
         err = finite_difference_check(f, param, eps=1e-6, max_coords=4, rng=i)

@@ -2,6 +2,7 @@
 
 import copy
 import dataclasses
+import inspect
 import pickle
 from pathlib import Path
 
@@ -14,6 +15,7 @@ from patchbank.network import (
     FilterBank,
     LayerSpec,
     ModelSpec,
+    StreamOutputs,
     build_model,
     conv,
     feature_shapes,
@@ -112,6 +114,14 @@ class TestReceptiveField:
         with pytest.raises(KeyError, match="unknown tap"):
             receptive_field(vgg16_backbone(), "conv9_9")
 
+    def test_tap_features_names_the_available_taps_too(self):
+        model = build_model(tinynet_spec(classes=4), seed=0)
+        message = r"unknown tap 'nope'; available: \['block3', 'block4'\]"
+        for lookup in (lambda: receptive_field(model.spec.backbone, "nope"),
+                       lambda: tap_features(model, np.zeros((3, 64, 64)), "nope")):
+            with pytest.raises(KeyError, match=message):
+                lookup()
+
     def test_tinynet_tap_is_18_by_4(self):
         spec = tinynet_spec(classes=8)
         rf = receptive_field(spec.backbone, "block3")
@@ -169,7 +179,7 @@ class TestBuildModel:
         model = build_model(spec, seed=0)
         assert model.params["module0.conv6.weight"].shape == (12, 64, 1, 1)
         outs = forward(model, np.zeros((3, 64, 64)))
-        assert outs.pool6[0].shape == (12,)
+        assert outs.peak_values[0].shape == (12,)
         assert outs.side_logits[0].shape == (4,)
 
     def test_two_modules_two_p_streams_one_g_stream(self):
@@ -230,10 +240,10 @@ def hand_trace(x, w1, w6, wp, bp, wg, bg):
     bb = np.einsum("oc,chw->ohw", w1[:, :, 0, 0], x)
     g = wg @ bb.mean(axis=(1, 2)) + bg
     c6 = np.einsum("fc,chw->fhw", w6[:, :, 0, 0], bb)
-    pool6 = c6.reshape(2, -1).max(axis=1)
-    p = wp @ pool6 + bp
-    side = pool6.copy()  # k=1: group means are the values themselves
-    return g, p, side, pool6
+    peaks = c6.reshape(2, -1).max(axis=1)
+    p = wp @ peaks + bp
+    side = peaks.copy()  # k=1: group means are the values themselves
+    return g, p, side, peaks
 
 
 def two_module_spec():
@@ -260,23 +270,23 @@ def walk_backbone(model, x):
 
 
 def unfused_gmp_forward(model, x):
-    """The GMP forward (g_hidden=0) with every layer its own op, conv6 and its pooling too.
+    """The GMP forward with every layer its own op, conv6 and its pooling too.
 
-    Returns the logit streams in fusion order, pool6 and peak_argmax.
+    Returns the logit streams in fusion order, peak_values and peak_argmax.
     """
     spec, params = model.spec, model.params
     cur, taps = walk_backbone(model, x)
     g = ops.fully_connected(ops.global_avg_pool(cur), params["ghead.weight"], params["ghead.bias"])
-    p, side, pool6, argmaxes = [], [], [], []
+    p, side, peaks, argmaxes = [], [], [], []
     for mi, mod in enumerate(spec.modules):
         conv6 = ops.conv2d(taps[spec.backbone.taps[mod.tap]], params[f"module{mi}.conv6.weight"])
         peak, argmax = ops.global_max_pool(conv6)
         p.append(ops.fully_connected(peak, params[f"module{mi}.phead.weight"],
                                      params[f"module{mi}.phead.bias"]))
         side.append(ops.cross_channel_avg_pool(peak, mod.filters_per_class))
-        pool6.append(peak)
+        peaks.append(peak)
         argmaxes.append(argmax)
-    return [g, *p, *side], pool6, argmaxes
+    return [g, *p, *side], peaks, argmaxes
 
 
 def summed_loss(streams, labels):
@@ -293,7 +303,7 @@ class TestForward:
         assert outs.g_logits.shape == (8,)
         assert outs.p_logits[0].shape == (8,)
         assert outs.side_logits[0].shape == (8,)
-        assert outs.pool6[0].shape == (32,)
+        assert outs.peak_values[0].shape == (32,)
         assert outs.peak_argmax[0].shape == (32, 2)
 
     def test_zero_input_zero_weights_zero_logits(self):
@@ -318,7 +328,7 @@ class TestForward:
         rng = np.random.default_rng(10)
         x = rng.standard_normal((2, 2, 2))
         outs = forward(model, x)
-        g, p, side, pool6 = hand_trace(
+        g, p, side, peaks = hand_trace(
             x,
             model.params["backbone.0.weight"].data,
             model.params["module0.conv6.weight"].data,
@@ -330,7 +340,7 @@ class TestForward:
         np.testing.assert_allclose(outs.g_logits.data, g, atol=1e-12)
         np.testing.assert_allclose(outs.p_logits[0].data, p, atol=1e-12)
         np.testing.assert_allclose(outs.side_logits[0].data, side, atol=1e-12)
-        np.testing.assert_allclose(outs.pool6[0].data, pool6, atol=1e-12)
+        np.testing.assert_allclose(outs.peak_values[0].data, peaks, atol=1e-12)
 
     def test_deterministic_bit_identical(self):
         model = build_model(tinynet_spec(classes=4, filters_per_class=2), seed=1)
@@ -338,7 +348,7 @@ class TestForward:
         a, b = forward(model, x), forward(model, x)
         np.testing.assert_array_equal(a.g_logits.data, b.g_logits.data)
         np.testing.assert_array_equal(a.p_logits[0].data, b.p_logits[0].data)
-        np.testing.assert_array_equal(a.pool6[0].data, b.pool6[0].data)
+        np.testing.assert_array_equal(a.peak_values[0].data, b.peak_values[0].data)
         np.testing.assert_array_equal(a.peak_argmax[0], b.peak_argmax[0])
 
     @pytest.mark.parametrize("dtype", ["f32", "f64"])
@@ -349,7 +359,7 @@ class TestForward:
         with GradTape() as fused_tape:
             out = forward(model, x)
         with GradTape() as ref_tape:
-            streams, pool6, argmaxes = unfused_gmp_forward(model, x)
+            streams, peaks, argmaxes = unfused_gmp_forward(model, x)
         # conv6 and its global max pooling are one record instead of two,
         # and so is each backbone conv with the relu after it.
         layers = model.spec.backbone.layers
@@ -358,8 +368,7 @@ class TestForward:
         for got, want in zip(logit_streams(out), streams, strict=True):
             assert got.dtype == want.dtype and got.data.tobytes() == want.data.tobytes()
         for mi in range(len(model.spec.modules)):
-            assert out.pool6[mi].data.tobytes() == pool6[mi].data.tobytes()
-            assert out.peak_values[mi] is out.pool6[mi]
+            assert out.peak_values[mi].data.tobytes() == peaks[mi].data.tobytes()
             np.testing.assert_array_equal(out.peak_argmax[mi], argmaxes[mi])
 
     @pytest.mark.parametrize("shape", [(3, 64, 64), (2, 3, 64, 64)])
@@ -440,11 +449,9 @@ class TestForward:
             np.testing.assert_allclose(batched.p_logits[0].data[i], single.p_logits[0].data,
                                        atol=1e-12)
 
-    @pytest.mark.parametrize("g_hidden", [0, 16])
     @pytest.mark.parametrize("pooling", ["gmp", "gap"])
-    def test_f32_logits_within_bound_of_f64(self, pooling, g_hidden):
-        spec = tinynet_spec(classes=8, filters_per_class=4, input_size=64, pooling=pooling,
-                            g_hidden=g_hidden)
+    def test_f32_logits_within_bound_of_f64(self, pooling):
+        spec = tinynet_spec(classes=8, filters_per_class=4, input_size=64, pooling=pooling)
         x = np.random.default_rng(11).uniform(0.0, 1.0, (4, 3, 64, 64))
         ref = logit_streams(forward(build_model(spec, seed=2, dtype="f64"), x))
         low = logit_streams(forward(build_model(spec, seed=2, dtype="f32"), x))
@@ -508,7 +515,7 @@ CHUNK = network.BACKBONE_CHUNK
 
 def forward_arrays(model, x):
     out = forward(model, x)
-    tensors = [*logit_streams(out), *out.pool6, *out.peak_values]
+    tensors = [*logit_streams(out), *out.peak_values]
     taps = [tap_features(model, x, tap) for tap in ("block3", "block4")]
     return [t.data for t in tensors + taps] + list(out.peak_argmax)
 
@@ -518,13 +525,12 @@ class TestChunkedBackbone:
     @pytest.mark.parametrize("dtype", ["f32", "f64"])
     @pytest.mark.parametrize("batch", [1, CHUNK, CHUNK + 1, 17])
     def test_byte_equal_to_single_chunk(self, monkeypatch, batch, dtype, pooling):
-        model = build_model(tinynet_spec(4, 2, 32, pooling=pooling, g_hidden=3),
-                            seed=batch, dtype=dtype)
+        model = build_model(tinynet_spec(4, 2, 32, pooling=pooling), seed=batch, dtype=dtype)
         x = np.random.default_rng(batch).random((batch, 3, 32, 32))
         chunked = forward_arrays(model, x)
         monkeypatch.setattr(network, "BACKBONE_CHUNK", batch)
         whole = forward_arrays(model, x)
-        assert len(chunked) == len(whole) == 8
+        assert len(chunked) == len(whole) == 7
         for got, want in zip(chunked, whole):
             assert got.dtype == want.dtype and got.shape[0] == batch
             assert got.tobytes() == want.tobytes()
@@ -553,11 +559,10 @@ class TestChunkedBackbone:
 
 class TestFusePredictions:
     def _outputs(self, g, p, side):
-        from patchbank.network import StreamOutputs
         return StreamOutputs(g_logits=Tensor(np.asarray(g, dtype=float)),
                              p_logits=[Tensor(np.asarray(p, dtype=float))],
                              side_logits=[Tensor(np.asarray(side, dtype=float))],
-                             pool6=[], peak_values=[], peak_argmax=[])
+                             peak_values=[], peak_argmax=[])
 
     def test_one_hot_weight_selects_g_stream(self):
         outs = self._outputs([0.0, 3.0], [5.0, 0.0], [9.0, 0.0])
@@ -635,6 +640,26 @@ class TestSpecValidation:
                 for line in path.read_text().splitlines() if "with_side_branch" in line]
         assert uses == [("network.py", "with_side_branch: ClassVar[bool] = True")]
 
+    def test_nothing_in_src_reads_g_hidden(self):
+        # The G-stream is one GAP+FC head; the constant stays for bench/replay.py alone.
+        uses = [(path.name, line.strip())
+                for path in sorted(Path(network.__file__).parent.glob("*.py"))
+                for line in path.read_text().splitlines()
+                if "g_hidden" in line and not line.strip().startswith("#")]
+        assert uses == [("network.py", "g_hidden: ClassVar[int] = 0")]
+        assert ModelSpec.g_hidden == tinynet_spec(classes=4).g_hidden == 0
+        model = build_model(tinynet_spec(classes=4), seed=0)
+        assert not [name for name in model.params if name.startswith("ghead.fc")]
+
+    def test_interfaces_have_one_name_per_fact(self):
+        assert [f.name for f in dataclasses.fields(ModelSpec)] == [
+            "backbone", "modules", "input_size", "classes", "in_channels", "pooling",
+            "fusion_g", "fusion_p", "fusion_side"]
+        assert [f.name for f in dataclasses.fields(StreamOutputs)] == [
+            "g_logits", "p_logits", "side_logits", "peak_values", "peak_argmax"]
+        assert list(inspect.signature(tinynet_spec).parameters) == [
+            "classes", "filters_per_class", "input_size", "pooling"]
+
     def test_specs_cannot_change_after_validation(self):
         spec = tinynet_spec(classes=4)
         for target, name, value in [(spec, "pooling", "max"), (spec, "fusion_side", -5.0),
@@ -697,21 +722,28 @@ class TestSpecValidation:
         (lambda: tinynet_spec(2.5), "classes must be an integer, got 2.5"),
         (lambda: tinynet_spec(True), "classes must be an integer, got True"),
         (lambda: tinynet_spec(3, 2, 16.5), "input_size must be an integer, got 16.5"),
-        (lambda: tinynet_spec(4, g_hidden=2.5), "g_hidden must be an integer, got 2.5"),
-        (lambda: tinynet_spec(4, g_hidden=-3), "g_hidden must be >= 0, got -3"),
         (lambda: ModelSpec(backbone=tinynet_spec(4).backbone, modules=tinynet_spec(4).modules,
                            input_size=64, classes=4, in_channels=0),
          "in_channels must be >= 1, got 0"),
         (lambda: ModelSpec(backbone=tinynet_spec(4).backbone, modules=tinynet_spec(4).modules,
                            input_size=64, classes=4, in_channels=3.0),
          "in_channels must be an integer, got 3.0"),
+        (lambda: build_model(tinynet_spec(4), seed=2.5), "seed must be an integer, got 2.5"),
+        (lambda: build_model(tinynet_spec(4), seed=-1), "seed must be >= 0, got -1"),
+        (lambda: build_model(tinynet_spec(4), seed=True), "seed must be an integer, got True"),
+        (lambda: FilterBank(weight=np.zeros((8, 64, 1, 1)), classes=4, filters_per_class=2),
+         "filter bank weight must be a Tensor, got ndarray"),
+        (lambda: build_model(tinynet_spec(4, 2), bank_init=[
+            FilterBank(Tensor(np.full((8, 64, 1, 1), np.nan)), classes=4, filters_per_class=2)]),
+         "module 0 bank weight has NaN or inf values"),
     ], ids=["layer-kind", "layer-geometry", "conv-out-channels", "pool-out-channels", "pool-pad",
             "relu-kernel", "relu-stride", "relu-pad", "module-filters", "no-modules",
             "pooling", "module-tap", "bank-weight", "bank-init-length", "float-bank-classes",
             "bool-bank-filters", "float-kernel",
             "bool-kernel", "float-out-channels", "float-stride", "float-pad", "float-tap-index",
             "float-filters", "float-classes", "bool-classes", "float-input-size",
-            "float-g-hidden", "negative-g-hidden", "no-in-channels", "float-in-channels"])
+            "no-in-channels", "float-in-channels", "float-seed", "negative-seed", "bool-seed",
+            "ndarray-bank-weight", "nan-bank-weight"])
     def test_bad_spec_rejected(self, make, message):
         with pytest.raises(ValueError, match=message):
             make()

@@ -1,5 +1,6 @@
 """Kernel contracts checked against independent brute-force references."""
 
+import decimal
 import tracemalloc
 
 import numpy as np
@@ -118,13 +119,12 @@ def maxpool_backward_reference(x, g, window, stride):
 
 
 def softmax_ce_reference(logits, label):
-    """Arbitrary-precision cross entropy via mpmath."""
-    import mpmath
-
-    mpmath.mp.dps = 60
-    vals = [mpmath.mpf(float(v)) for v in logits]
-    z = mpmath.fsum(mpmath.e**v for v in vals)
-    return float(-(vals[label] - mpmath.log(z)))
+    """Cross entropy in 60-digit decimal arithmetic; ``Decimal(float)`` is exact."""
+    with decimal.localcontext() as ctx:
+        ctx.prec = 60
+        vals = [decimal.Decimal(float(v)) for v in logits]
+        z = sum(v.exp() for v in vals)
+        return float(-(vals[label] - z.ln()))
 
 
 # ------------------------------------------------------------------- conv2d
@@ -777,6 +777,12 @@ class TestTensorInvariants:
         assert t.data[0] == 0.0
         assert np.asarray(t) is t.data
 
+    @pytest.mark.parametrize("dtype", [None, "f32"])
+    def test_complex_data_rejected(self, dtype):
+        # A cast kept the real part and only warned.
+        with pytest.raises(ValueError, match="tensor data must be real, got dtype complex128"):
+            Tensor(np.array([1.0 + 2.0j, 3.0]), dtype=dtype)
+
     def test_array_no_copy_with_dtype_change_rejected(self):
         t = Tensor(np.zeros(3))
         assert np.asarray(t, dtype=np.float64, copy=False) is t.data
@@ -795,22 +801,31 @@ _MAP = np.ones((2, 4, 4))
     (lambda: ops.conv2d(_MAP, np.ones((1, 2, 3))), r"conv2d weight must be \(C_out, C_in, kh, kw\)"),
     (lambda: ops.conv2d(_MAP, np.ones((1, 2, 3, 3)), stride=0), "conv2d stride must be >= 1, got 0"),
     (lambda: ops.conv2d(_MAP, np.ones((1, 2, 3, 3)), pad=-1), "conv2d pad must be >= 0, got -1"),
+    (lambda: ops.conv2d(_MAP, np.ones((1, 2, 3, 3)), stride=1.5),
+     "conv2d stride must be an integer, got 1.5"),
+    (lambda: ops.conv2d(_MAP, np.ones((1, 2, 3, 3)), pad=True),
+     "conv2d pad must be an integer, got True"),
     (lambda: ops.maxpool2d(np.ones((4, 4)), 2, 2), r"maxpool2d input must be \(C,H,W\) or \(N,C,H,W\)"),
     (lambda: ops.maxpool2d(_MAP, 0, 2), "maxpool2d window and stride must be >= 1, got 0, 2"),
     (lambda: ops.maxpool2d(_MAP, 2, 0), "maxpool2d window and stride must be >= 1, got 2, 0"),
     (lambda: ops.maxpool2d(_MAP, 5, 1), "maxpool2d window 5 does not fit input 4x4"),
+    (lambda: ops.maxpool2d(_MAP, 2.5, 2), "maxpool2d window must be an integer, got 2.5"),
+    (lambda: ops.maxpool2d(_MAP, 2, 1.5), "maxpool2d stride must be an integer, got 1.5"),
     (lambda: ops.global_max_pool(np.ones((4, 4))), "global_max_pool input must have >= 3 dims"),
     (lambda: ops.global_avg_pool(np.ones((4, 4))), "global_avg_pool input must have >= 3 dims"),
     (lambda: ops.cross_channel_avg_pool(np.ones(4), 0), "group size must be >= 1, got 0"),
+    (lambda: ops.cross_channel_avg_pool(np.ones(6), 2.5), "group size must be an integer, got 2.5"),
     (lambda: ops.fully_connected(np.ones(3), np.ones(3), np.ones(1)),
      r"fully_connected expects weight \(O,D\) and bias \(O,\)"),
     (lambda: ops.fully_connected(np.ones(3), np.ones((2, 3)), np.ones(3)),
      r"bias shape \(3,\) does not match weight rows 2"),
     (lambda: ops.softmax_cross_entropy(np.ones((2, 3)), np.array([0, 1, 2])),
      r"labels shape \(3,\) does not match logits"),
-], ids=["add-shapes", "conv2d-weight-rank", "conv2d-stride", "conv2d-pad", "maxpool2d-rank",
-        "maxpool2d-window", "maxpool2d-stride", "maxpool2d-fit", "global_max_pool-rank",
-        "global_avg_pool-rank", "cross_channel-k", "fc-param-ranks", "fc-bias", "softmax-labels"])
+], ids=["add-shapes", "conv2d-weight-rank", "conv2d-stride", "conv2d-pad", "conv2d-float-stride",
+        "conv2d-bool-pad", "maxpool2d-rank", "maxpool2d-window", "maxpool2d-stride",
+        "maxpool2d-fit", "maxpool2d-float-window", "maxpool2d-float-stride",
+        "global_max_pool-rank", "global_avg_pool-rank", "cross_channel-k", "cross_channel-float-k",
+        "fc-param-ranks", "fc-bias", "softmax-labels"])
 def test_bad_input_rejected(call, message):
     with pytest.raises(ValueError, match=message):
         call()
