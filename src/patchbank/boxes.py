@@ -62,12 +62,16 @@ def nms_select(candidates, iou_threshold: float, max_keep: int):
     A candidate is suppressed iff its box IoU with an already-kept box
     exceeds ``iou_threshold``.  At most ``max_keep`` are kept; the result
     is ordered by descending energy.  Ties in energy are broken by
-    (image_id, location) so the selection is order-independent.
+    (image_id, location) so the selection is order-independent.  Every
+    energy must be finite: a NaN has no place in that order.
     """
     if not 0.0 <= iou_threshold <= 1.0:
         raise ValueError(f"iou_threshold must be in [0, 1], got {iou_threshold}")
     check_int("max_keep", max_keep, 1)
     ordered = sorted(candidates, key=lambda c: (-c.energy, c.image_id, c.location))
+    for cand in ordered:
+        if not math.isfinite(cand.energy):
+            raise ValueError(f"candidate energy must be finite: {cand}")
     kept = []
     kept_boxes = []    # (top, left, bottom, right, area) of each kept box
     for cand in ordered:

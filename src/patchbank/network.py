@@ -190,9 +190,12 @@ class ModelSpec:
                         dtype=np.float64)
 
 
-@dataclass
+@dataclass(frozen=True)
 class FilterBank:
-    """The k*M grid of 1x1 patch-detector filters; filter j belongs to class j // k."""
+    """The k*M grid of 1x1 patch-detector filters; filter j belongs to class j // k.
+
+    Frozen, like the specs, so the checks in ``__post_init__`` hold for its life.
+    """
 
     weight: Tensor                 # (k*M, C, 1, 1)
     classes: int
@@ -275,6 +278,9 @@ def build_model(spec: ModelSpec, bank_init=None, seed: int = 0, dtype="f64") -> 
         w6 = _uniform(rng, (km, c_tap, 1, 1), c_tap, np_dtype)
         if bank_init is not None and bank_init[mi] is not None:
             bank = bank_init[mi]
+            if not isinstance(bank, FilterBank):
+                raise ValueError(f"module {mi} bank_init entry must be a FilterBank or None, "
+                                 f"got {type(bank).__name__}")
             if (bank.classes, bank.filters_per_class) != (m, mod.filters_per_class):
                 raise ValueError(
                     f"module {mi} bank has {bank.classes} classes x {bank.filters_per_class} "
@@ -318,15 +324,25 @@ def _run_backbone(model: Model, x: Tensor, upto: int | None = None,
     A conv layer followed by a relu layer runs as one ``conv2d(...,
     relu=True)``, whose backward masks from its output, unless the conv's
     own pre-ReLU output is a ``keep`` tap or the ``upto`` end.  Without a
-    tape, a batch runs every layer on ``BACKBONE_CHUNK`` images at a time
-    and the chunks are concatenated; each kernel treats images
-    independently, so the bytes equal a whole-batch pass.
+    tape, a batch runs every layer on ``BACKBONE_CHUNK`` images at a time.
+    Each returned map is allocated once at batch size, from the first
+    chunk's shape and dtype, and each chunk's result is copied into its
+    slice as soon as the chunk finishes, so no map exists twice.  Each
+    kernel treats images independently, so the bytes equal a whole-batch
+    pass.
     """
     if x.ndim == 4 and len(x.data) > BACKBONE_CHUNK and active_tape() is None:
-        parts = [_run_backbone(model, Tensor(x.data[s : s + BACKBONE_CHUNK]), upto, keep)
-                 for s in range(0, len(x.data), BACKBONE_CHUNK)]
-        taps = {i: Tensor(np.concatenate([t[i].data for _, t in parts])) for i in parts[0][1]}
-        return Tensor(np.concatenate([cur.data for cur, _ in parts])), taps
+        n = len(x.data)
+        for s in range(0, n, BACKBONE_CHUNK):
+            cur, part = _run_backbone(model, Tensor(x.data[s : s + BACKBONE_CHUNK]), upto, keep)
+            if not s:
+                out = np.empty((n, *cur.shape[1:]), cur.dtype)
+                taps = {i: np.empty((n, *t.shape[1:]), t.dtype) for i, t in part.items()}
+            out[s : s + BACKBONE_CHUNK] = cur.data
+            for i, t in part.items():
+                taps[i][s : s + BACKBONE_CHUNK] = t.data
+            del cur, part  # so the next chunk runs without this one's maps
+        return Tensor(out), {i: Tensor(t) for i, t in taps.items()}
     taps: dict[int, Tensor] = {}
     cur = x
     layers = model.spec.backbone.layers
@@ -351,7 +367,9 @@ def tap_features(model: Model, image, tap: str) -> Tensor:
     """Feature map at a tap point (runs only the backbone prefix).
 
     Without an active tape the prefix runs on a few images at a time
-    (``BACKBONE_CHUNK``); the result is byte-equal to a whole-batch pass.
+    (``BACKBONE_CHUNK``), each chunk written into one batch-sized output,
+    so the traced peak stays near the output's own bytes; the result is
+    byte-equal to a whole-batch pass.
     """
     idx = _tap_index(model.spec.backbone, tap)
     x = _check_input(model, image)
@@ -371,9 +389,10 @@ def forward(model: Model, image) -> StreamOutputs:
     ``ops.bank_peaks``, so the (k*M, H, W) response maps are never
     stored; ``pooling="gap"`` needs the dense maps for their mean, so it
     runs ``conv2d`` and then both global pools.  Without an active tape
-    the backbone runs on a few images at a time (``BACKBONE_CHUNK``) and
-    the heads on the whole batch; every output is byte-equal to a
-    whole-batch pass.
+    the backbone runs on a few images at a time (``BACKBONE_CHUNK``),
+    each chunk written into one batch-sized final map and tap, and the
+    heads on the whole batch; every output is byte-equal to a whole-batch
+    pass.
     """
     spec = model.spec
     x = _check_input(model, image)

@@ -157,7 +157,9 @@ class GradTape:
                 )
         self._grads[id(output)] = g0
         for inputs, out, backward in reversed(self._records):
-            g_out = self._grads.get(id(out))
+            # Records run in reverse order, so every consumer of ``out`` has
+            # added to its gradient by now; free it once it is used.
+            g_out = self._grads.pop(id(out), None)
             if g_out is None:
                 continue
             in_grads = backward(g_out)
@@ -173,6 +175,11 @@ class GradTape:
                 self._grads[id(tensor)] = g if cur is None else cur + g
 
     def grad(self, tensor: Tensor) -> Tensor | None:
-        """Accumulated gradient of ``tensor`` from the last backward, or None."""
+        """Accumulated gradient of leaf ``tensor`` from the last backward, or None.
+
+        A leaf is a tensor that no recorded op produced, such as a
+        parameter or an input.  The gradient of an op's output is freed
+        once its op has used it, so for such a tensor this returns None.
+        """
         g = self._grads.get(id(tensor))
         return None if g is None else Tensor(g)

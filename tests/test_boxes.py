@@ -1,5 +1,6 @@
 """Box IoU and greedy non-maximum suppression."""
 
+import itertools
 import random
 from dataclasses import dataclass
 
@@ -146,6 +147,17 @@ def test_nms_bad_arguments_rejected():
         nms_select([], 1.5, 1)
     with pytest.raises(ValueError, match="max_keep"):
         nms_select([], 0.5, 0)
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+def test_nms_non_finite_energy_rejected(bad):
+    # A NaN has no place in the energy order: unchecked, these three overlapping
+    # candidates would keep (0, 0), (0, 1) or (0, 2) by the order given.
+    cands = [Candidate(e, 0, (0, i), SQUARE) for i, e in enumerate([1.0, bad, 2.0])]
+    for order in itertools.permutations(cands):
+        with pytest.raises(ValueError,
+                           match=r"candidate energy must be finite: .*location=\(0, 1\)"):
+            nms_select(list(order), 0.3, 4)
 
 
 @pytest.mark.parametrize("max_keep", [2.5, True, 2.0])

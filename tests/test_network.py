@@ -4,6 +4,7 @@ import copy
 import dataclasses
 import inspect
 import pickle
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -513,6 +514,15 @@ class TestForward:
 CHUNK = network.BACKBONE_CHUNK
 
 
+def traced_peak(call):
+    """Result of ``call()`` and the peak bytes numpy allocated while it ran."""
+    tracemalloc.start()
+    try:
+        return call(), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 def forward_arrays(model, x):
     out = forward(model, x)
     tensors = [*logit_streams(out), *out.peak_values]
@@ -534,6 +544,21 @@ class TestChunkedBackbone:
         for got, want in zip(chunked, whole):
             assert got.dtype == want.dtype and got.shape[0] == batch
             assert got.tobytes() == want.tobytes()
+
+    # Each chunk is written into one batch-sized map, so no returned map
+    # exists twice and the peak stays well under 2x the returned bytes.
+    def test_tap_features_peak_near_output_bytes(self):
+        model = build_model(tinynet_spec(4, 2, 32), seed=0)
+        x = np.random.default_rng(0).random((32 * CHUNK, 3, 32, 32))
+        out, peak = traced_peak(lambda: tap_features(model, x, "block3"))
+        assert peak < 1.5 * out.data.nbytes
+
+    def test_forward_peak_near_tap_and_final_bytes(self):
+        model = build_model(tinynet_spec(4, 2, 32), seed=0)
+        x = np.random.default_rng(0).random((32 * CHUNK, 3, 32, 32))
+        _, peak = traced_peak(lambda: forward(model, x))
+        maps = [tap_features(model, x, tap) for tap in ("block3", "block4")]
+        assert peak < 1.5 * sum(m.data.nbytes for m in maps)
 
     def test_chunks_only_without_tape(self, monkeypatch):
         batches = []
@@ -662,9 +687,12 @@ class TestSpecValidation:
 
     def test_specs_cannot_change_after_validation(self):
         spec = tinynet_spec(classes=4)
+        bank = FilterBank(weight=Tensor(np.zeros((8, 64, 1, 1))), classes=4, filters_per_class=2)
         for target, name, value in [(spec, "pooling", "max"), (spec, "fusion_side", -5.0),
                                     (spec, "classes", 3), (spec.backbone, "layers", ()),
-                                    (spec.backbone, "taps", {})]:
+                                    (spec.backbone, "taps", {}),
+                                    (bank, "weight", np.zeros((8, 64, 1, 1))),
+                                    (bank, "classes", 2), (bank, "filters_per_class", 4)]:
             with pytest.raises(dataclasses.FrozenInstanceError):
                 setattr(target, name, value)
         with pytest.raises(TypeError):
@@ -736,6 +764,8 @@ class TestSpecValidation:
         (lambda: build_model(tinynet_spec(4, 2), bank_init=[
             FilterBank(Tensor(np.full((8, 64, 1, 1), np.nan)), classes=4, filters_per_class=2)]),
          "module 0 bank weight has NaN or inf values"),
+        (lambda: build_model(tinynet_spec(4, 2), bank_init=[np.zeros((8, 64, 1, 1))]),
+         "module 0 bank_init entry must be a FilterBank or None, got ndarray"),
     ], ids=["layer-kind", "layer-geometry", "conv-out-channels", "pool-out-channels", "pool-pad",
             "relu-kernel", "relu-stride", "relu-pad", "module-filters", "no-modules",
             "pooling", "module-tap", "bank-weight", "bank-init-length", "float-bank-classes",
@@ -743,7 +773,7 @@ class TestSpecValidation:
             "bool-kernel", "float-out-channels", "float-stride", "float-pad", "float-tap-index",
             "float-filters", "float-classes", "bool-classes", "float-input-size",
             "no-in-channels", "float-in-channels", "float-seed", "negative-seed", "bool-seed",
-            "ndarray-bank-weight", "nan-bank-weight"])
+            "ndarray-bank-weight", "nan-bank-weight", "ndarray-bank-init"])
     def test_bad_spec_rejected(self, make, message):
         with pytest.raises(ValueError, match=message):
             make()

@@ -683,6 +683,17 @@ class TestSoftmaxCrossEntropy:
 # --------------------------------------------------------------------- tape
 
 
+def backward_keeping_every_gradient(tape, output):
+    """The tape's reverse walk over its records, keeping every gradient it computes."""
+    grads = {id(output): np.ones_like(output.data)}
+    for inputs, out, backward in reversed(tape._records):
+        if id(out) in grads:
+            for t, g in zip(inputs, backward(grads[id(out)])):
+                if g is not None and t.requires_grad:
+                    grads[id(t)] = grads[id(t)] + g if id(t) in grads else g
+    return grads
+
+
 class TestGradTape:
     def test_gradients_accumulate_across_consumers(self):
         x = Tensor(np.array([1.0, 2.0]), requires_grad=True)
@@ -692,6 +703,21 @@ class TestGradTape:
             loss = ops.tsum(ops.add(a, b))
         tape.backward(loss)
         np.testing.assert_array_equal(tape.grad(x).data, [5.0, 5.0])
+
+    def test_frees_intermediate_gradients(self):
+        rng = np.random.default_rng(4)
+        x = Tensor(rng.standard_normal((2, 3, 6, 6)), requires_grad=True)
+        w = Tensor(rng.standard_normal((4, 3, 3, 3)), requires_grad=True)
+        with GradTape() as tape:
+            h = ops.conv2d(x, w, 1, 1, relu=True)
+            a = ops.scale(h, 2.0)
+            loss = ops.tsum(ops.add(a, h))  # h feeds two ops
+        kept = backward_keeping_every_gradient(tape, loss)
+        tape.backward(loss)
+        for t in (h, a, loss):
+            assert id(t) in kept and tape.grad(t) is None
+        for t in (x, w):
+            assert tape.grad(t).data.tobytes() == kept[id(t)].tobytes()
 
     def test_no_recording_without_tape(self):
         x = Tensor(np.ones(3), requires_grad=True)
