@@ -2,27 +2,14 @@
 
 from __future__ import annotations
 
+import re
 from pathlib import Path
 
 import numpy as np
 
 
-def _read_token(data: bytes, pos: int) -> tuple[bytes, int]:
-    # Skip whitespace and '#' comments, then read one token (empty at the end).
-    n = len(data)
-    while pos < n:
-        c = data[pos : pos + 1]
-        if c == b"#":
-            while pos < n and data[pos : pos + 1] not in (b"\n", b"\r"):
-                pos += 1
-        elif c.isspace():
-            pos += 1
-        else:
-            break
-    start = pos
-    while pos < n and not data[pos : pos + 1].isspace():
-        pos += 1
-    return data[start:pos], pos
+# Whitespace and '#' comments to skip, then one token (empty at the end).
+_TOKEN = re.compile(rb"(?:\s|#[^\r\n]*)*(\S*)")
 
 
 def _read(path, magic: bytes, channels: int) -> np.ndarray:
@@ -33,7 +20,8 @@ def _read(path, magic: bytes, channels: int) -> np.ndarray:
     pos = 2
     fields = []
     for name in ("width", "height", "maxval"):
-        token, pos = _read_token(raw, pos)
+        match = _TOKEN.match(raw, pos)
+        token, pos = match[1], match.end()
         if not token:
             raise ValueError(f"{path}: header ends before the {name}")
         # Netpbm allows ASCII decimal digits only; int() would also take "+1"

@@ -79,10 +79,22 @@ class BackboneSpec:
     def __post_init__(self):
         object.__setattr__(self, "layers", tuple(self.layers))
         object.__setattr__(self, "taps", MappingProxyType(dict(self.taps)))
+        # Each relu runs fused into the conv before it, whose pre-ReLU map no tap reads.
+        for i, layer in enumerate(self.layers):
+            if layer.kind == "relu" and (i == 0 or self.layers[i - 1].kind != "conv"):
+                raise ValueError(f"relu layer {i} must directly follow a conv layer")
         for name, idx in self.taps.items():
             check_int(f"tap {name!r} index", idx)
             if not 0 <= idx < len(self.layers):
                 raise ValueError(f"tap {name!r} index {idx} out of range")
+            if self._relu_follows(idx):
+                raise ValueError(f"tap {name!r} reads conv layer {idx}, which a relu follows; "
+                                 f"tap the relu at {idx + 1}")
+
+    def _relu_follows(self, i: int) -> bool:
+        """Whether layer ``i`` is a conv that runs fused with the relu after it."""
+        return (self.layers[i].kind == "conv" and i + 1 < len(self.layers)
+                and self.layers[i + 1].kind == "relu")
 
     def __reduce__(self):
         # A mappingproxy does not pickle, so copies and pickles rebuild from a dict.
@@ -322,9 +334,9 @@ def _run_backbone(model: Model, x: Tensor, upto: int | None = None,
     """Backbone output through layer ``upto`` (default: the last) and the ``keep`` taps.
 
     A conv layer followed by a relu layer runs as one ``conv2d(...,
-    relu=True)``, whose backward masks from its output, unless the conv's
-    own pre-ReLU output is a ``keep`` tap or the ``upto`` end.  Without a
-    tape, a batch runs every layer on ``BACKBONE_CHUNK`` images at a time.
+    relu=True)``, whose backward masks from its output, and the relu layer
+    runs nothing; the spec alone decides this.  Without a tape, a batch
+    runs every layer on ``BACKBONE_CHUNK`` images at a time.
     Each returned map is allocated once at batch size, from the first
     chunk's shape and dtype, and each chunk's result is copied into its
     slice as soon as the chunk finishes, so no map exists twice.  Each
@@ -347,24 +359,20 @@ def _run_backbone(model: Model, x: Tensor, upto: int | None = None,
     cur = x
     layers = model.spec.backbone.layers
     last = len(layers) - 1 if upto is None else upto
-    fused = {i for i in range(last)
-             if layers[i].kind == "conv" and layers[i + 1].kind == "relu"
-             and not (keep and i in keep)}
     for i, layer in enumerate(layers[: last + 1]):
         if layer.kind == "conv":
             cur = ops.conv2d(cur, model.params[f"backbone.{i}.weight"], layer.stride, layer.pad,
-                             relu=i in fused)
+                             relu=model.spec.backbone._relu_follows(i))
         elif layer.kind == "pool":
             cur = ops.maxpool2d(cur, layer.kernel, layer.stride)
-        elif i - 1 not in fused:
-            cur = ops.relu(cur)
         if keep and i in keep:
             taps[i] = cur
     return cur, taps
 
 
 def tap_features(model: Model, image, tap: str) -> Tensor:
-    """Feature map at a tap point (runs only the backbone prefix).
+    """Feature map at a tap point (runs only the backbone prefix, with the
+    same fused ops as ``forward``).
 
     Without an active tape the prefix runs on a few images at a time
     (``BACKBONE_CHUNK``), each chunk written into one batch-sized output,
@@ -382,17 +390,16 @@ def forward(model: Model, image) -> StreamOutputs:
 
     Deterministic; also records the argmax location of every conv6 filter
     response for later patch visualization.  Each backbone conv followed
-    by a relu runs fused with it as ``conv2d(..., relu=True)`` unless its
-    pre-ReLU output is a tap, so the tape keeps one activation per pair
-    and the backward masks from the ReLU output.  Under
-    ``pooling="gmp"`` conv6 and its global max pooling run fused as
-    ``ops.bank_peaks``, so the (k*M, H, W) response maps are never
-    stored; ``pooling="gap"`` needs the dense maps for their mean, so it
-    runs ``conv2d`` and then both global pools.  Without an active tape
-    the backbone runs on a few images at a time (``BACKBONE_CHUNK``),
-    each chunk written into one batch-sized final map and tap, and the
-    heads on the whole batch; every output is byte-equal to a whole-batch
-    pass.
+    by a relu runs fused with it as ``conv2d(..., relu=True)``, so the
+    tape keeps one activation per pair and the backward masks from the
+    ReLU output.  Under ``pooling="gmp"`` conv6 and its global max
+    pooling run fused as ``ops.bank_peaks``, so the (k*M, H, W) response
+    maps are never stored; ``pooling="gap"`` needs the dense maps for
+    their mean, so it runs ``conv2d`` and then both global pools.
+    Without an active tape the backbone runs on a few images at a time
+    (``BACKBONE_CHUNK``), each chunk written into one batch-sized final
+    map and tap, and the heads on the whole batch; every output is
+    byte-equal to a whole-batch pass.
     """
     spec = model.spec
     x = _check_input(model, image)

@@ -18,8 +18,7 @@ columns from x when it needs them instead of keeping the whole batch's.
 ``conv2d(..., relu=True)`` clamps each image's output in place and its
 backward masks each image's gradient from that output, so a conv and
 the ReLU after it keep one activation on the tape, not two; the
-network's backbone runs every conv that a relu follows this way unless
-the pre-ReLU map is a tap.  ``relu`` itself serves the other layers.
+network's backbone runs every conv that a relu follows this way.
 """
 
 from __future__ import annotations
@@ -87,7 +86,8 @@ def tsum(a: Tensor) -> Tensor:
 
 
 def relu(x: Tensor) -> Tensor:
-    """max(x, 0), elementwise."""
+    """max(x, 0), elementwise.  The backbone runs each relu fused into ``conv2d``;
+    this stays public because the benchmark's op replay and the tests call it."""
     x = _as_tensor(x)
     out = Tensor(np.maximum(x.data, 0))
 
@@ -267,10 +267,8 @@ def maxpool2d(x: Tensor, window: int, stride: int) -> Tensor:
     xd = x.data
     if xd.ndim not in (3, 4):
         raise ValueError(f"maxpool2d input must be (C,H,W) or (N,C,H,W), got {x.shape}")
-    check_int("maxpool2d window", window)
-    check_int("maxpool2d stride", stride)
-    if window < 1 or stride < 1:
-        raise ValueError(f"maxpool2d window and stride must be >= 1, got {window}, {stride}")
+    check_int("maxpool2d window", window, 1)
+    check_int("maxpool2d stride", stride, 1)
     h, w = xd.shape[-2:]
     if h < window or w < window:
         raise ValueError(f"maxpool2d window {window} does not fit input {h}x{w}")

@@ -38,9 +38,7 @@ class Tensor:
     __slots__ = ("data", "requires_grad")
 
     def __init__(self, data, requires_grad: bool = False, dtype=None):
-        if isinstance(data, Tensor):
-            data = data.data
-        arr = np.asarray(data)
+        arr = np.asarray(data)  # a Tensor's __array__ returns its data uncopied
         if arr.dtype.kind == "c":
             # A cast would keep the real part and only warn.
             raise ValueError(f"tensor data must be real, got dtype {arr.dtype}")
@@ -105,12 +103,14 @@ class GradTape:
     Gradients are accumulated additively into a map keyed by tensor
     identity, so a tensor feeding several consumers receives the sum of
     the incoming gradients.  One tape serves one forward/backward cycle;
-    build a fresh tape for the next step.
+    build a fresh tape for the next step: ``backward`` releases each record
+    once it has run, so an activation is freed after its last reader.
     """
 
     def __init__(self):
-        self._records: list[tuple[tuple[Tensor, ...], Tensor, object]] = []
-        self._grads: dict[int, np.ndarray] = {}
+        self._records: list[tuple[tuple[Tensor, ...], Tensor, object] | None] = []
+        # id -> (tensor, gradient): holding the tensor keeps its id unique.
+        self._grads: dict[int, tuple[Tensor, np.ndarray]] = {}
 
     def __enter__(self) -> "GradTape":
         if active_tape() is not None:
@@ -139,14 +139,16 @@ class GradTape:
         """Propagate gradients from ``output`` back through the records.
 
         ``output`` must be the output of an operation recorded on this
-        tape; anything else would leave every gradient None.
+        tape; anything else would leave every gradient None.  It runs once
+        per tape, because it releases the records it runs.
         """
+        if self._records and self._records[-1] is None:  # backward releases it first
+            raise ValueError("this tape's backward already ran; record a fresh tape")
         if not any(out is output for _, out, _ in self._records):
             raise ValueError(
                 f"backward from {output!r}, which is not the output of an operation "
                 "recorded on this tape"
             )
-        self._grads.clear()
         if seed is None:
             g0 = np.ones_like(output.data)
         else:
@@ -155,14 +157,16 @@ class GradTape:
                 raise ValueError(
                     f"seed gradient shape {g0.shape} != output shape {output.data.shape}"
                 )
-        self._grads[id(output)] = g0
-        for inputs, out, backward in reversed(self._records):
+        self._grads[id(output)] = (output, g0)
+        for i in reversed(range(len(self._records))):
+            inputs, out, backward = self._records[i]
+            self._records[i] = None
             # Records run in reverse order, so every consumer of ``out`` has
             # added to its gradient by now; free it once it is used.
-            g_out = self._grads.pop(id(out), None)
-            if g_out is None:
+            entry = self._grads.pop(id(out), None)
+            if entry is None:
                 continue
-            in_grads = backward(g_out)
+            in_grads = backward(entry[1])
             for tensor, g in zip(inputs, in_grads):
                 if g is None or not tensor.requires_grad:
                     continue
@@ -172,7 +176,7 @@ class GradTape:
                     )
                 cur = self._grads.get(id(tensor))
                 # "cur + g" allocates; never mutate a stored buffer in place.
-                self._grads[id(tensor)] = g if cur is None else cur + g
+                self._grads[id(tensor)] = (tensor, g if cur is None else cur[1] + g)
 
     def grad(self, tensor: Tensor) -> Tensor | None:
         """Accumulated gradient of leaf ``tensor`` from the last backward, or None.
@@ -181,5 +185,5 @@ class GradTape:
         parameter or an input.  The gradient of an op's output is freed
         once its op has used it, so for such a tensor this returns None.
         """
-        g = self._grads.get(id(tensor))
-        return None if g is None else Tensor(g)
+        entry = self._grads.get(id(tensor))
+        return None if entry is None else Tensor(entry[1])

@@ -169,6 +169,12 @@ def test_nms_max_keep_must_be_an_integer(max_keep):
         nms_select(cands, 0.5, max_keep)
 
 
+def test_clipped_keeps_each_side_inside_the_image():
+    assert Box(-2.0, 3.0, 5.0, 12.0).clipped(4.0, 10.0) == Box(0.0, 3.0, 4.0, 10.0)
+    # A box wholly past the image edge clips to an empty one on that edge.
+    assert Box(6.0, -3.0, 7.0, -1.0).clipped(4.0, 10.0) == Box(4.0, 0.0, 4.0, 0.0)
+
+
 @pytest.mark.parametrize("corners", [(2.0, 0.0, 1.0, 3.0), (0.0, 2.0, 3.0, 1.0)],
                          ids=["bottom-above-top", "right-left-of-left"])
 def test_degenerate_box_rejected(corners):

@@ -218,6 +218,11 @@ class TestFolders:
         (tmp_path / "m.csv").write_text("path,label\n")
         assert load_folder(tmp_path / "m.csv", 16) == []
 
+    def test_blank_rows_skipped(self, tmp_path):
+        save_ppm(tmp_path / "i.ppm", np.zeros((3, 2, 2)))
+        (tmp_path / "m.csv").write_text("path,label\n\ni.ppm,1\n\n")
+        assert [s.label for s in load_folder(tmp_path / "m.csv", 2)] == [1]
+
     def test_row_count_matches_samples(self, tmp_path):
         train, test = generate(small_spec(seed=9))
         save_dataset(tmp_path, train, test)

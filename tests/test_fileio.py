@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from patchbank import imageio
 from patchbank.imageio import load_pgm, load_ppm, save_pgm, save_ppm
 from patchbank.tensor import Tensor
 from patchbank.tensorio import load_tensor, save_tensor
@@ -225,3 +226,35 @@ def test_non_decimal_header_token_rejected(tmp_path, raw, message):
     # a sign and digit-group underscores.
     with pytest.raises(ValueError, match=message):
         load_pgm(_written(tmp_path / "t.img", raw))
+
+
+def _read_token_reference(data: bytes, pos: int) -> tuple[bytes, int]:
+    """The byte loop the header regex replaced: skip whitespace and '#'
+    comments, then read one token (empty at the end)."""
+    n = len(data)
+    while pos < n:
+        c = data[pos : pos + 1]
+        if c == b"#":
+            while pos < n and data[pos : pos + 1] not in (b"\n", b"\r"):
+                pos += 1
+        elif c.isspace():
+            pos += 1
+        else:
+            break
+    start = pos
+    while pos < n and not data[pos : pos + 1].isspace():
+        pos += 1
+    return data[start:pos], pos
+
+
+_HEADER_BYTES = [b" ", b"\t", b"\n", b"\r", b"\x0b", b"\x0c", b"#", b"0", b"7", b"-", b"+",
+                 b"_", b"\x00", b"\x85", b"\xa0", b"\xff"]
+
+
+@given(st.lists(st.sampled_from(_HEADER_BYTES), max_size=24), st.integers(0, 24))
+@settings(max_examples=500, deadline=None)
+def test_header_token_matches_byte_loop(parts, pos):
+    raw = b"".join(parts)
+    pos = min(pos, len(raw))
+    match = imageio._TOKEN.match(raw, pos)
+    assert (match[1], match.end()) == _read_token_reference(raw, pos)

@@ -140,10 +140,10 @@ class TestReceptiveField:
                                        stride=int(rng.integers(1, 3)), pad=int(rng.integers(0, 2))))
                 elif kind == "pool":
                     layers.append(pool(int(rng.integers(2, 4)), int(rng.integers(1, 3))))
-                else:
+                elif layers and layers[-1].kind == "conv":  # a relu only right after a conv
                     layers.append(relu_layer())
-            spec = BackboneSpec(layers=tuple(layers), taps={"t": len(layers) - 1})
             try:
+                spec = BackboneSpec(layers=tuple(layers), taps={"t": len(layers) - 1})
                 shapes = feature_shapes(spec, 2, 20)
                 break
             except ValueError:
@@ -389,15 +389,10 @@ class TestForward:
             # Only the order of the sums into conv6's input differs.
             assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max(), name
 
-    @pytest.mark.parametrize("tap,idx,fused", [
-        ("block3", 7, [True, True, True, True]),   # tinynet: the module reads relu3
-        ("conv3", 6, [True, True, False, True]),   # the module reads conv3 before its relu
-    ])
-    def test_conv_relu_fused_unless_pre_relu_map_is_read(self, monkeypatch, tap, idx, fused):
-        base = tinynet_spec(4, 3, 32)
-        backbone = BackboneSpec(base.backbone.layers, {**base.backbone.taps, "conv3": 6})
-        module = DFLModuleSpec(tap=tap, filters_per_class=3)
-        model = build_model(ModelSpec(backbone, (module,), 32, 4), seed=15)
+    def test_every_conv_runs_fused_with_its_relu(self, monkeypatch):
+        # The spec alone decides fusion: forward and tap_features run the
+        # same conv2d(..., relu=True) for every tinynet conv.
+        model = build_model(tinynet_spec(4, 3, 32), seed=15)
         params = model.params
         x = Tensor(np.random.default_rng(16).random((2, 3, 32, 32)), requires_grad=True)
         labels = np.array([1, 3])
@@ -412,11 +407,10 @@ class TestForward:
         with GradTape() as tape:
             out = forward(model, x)
             loss = summed_loss(logit_streams(out), labels)
-        assert flags == fused
+        assert flags == [True] * 4
         flags.clear()
-        # Read through upto, the tapped map is the pass's end and stays unfused too.
-        tap_map = tap_features(model, x, tap)
-        assert flags == fused[:3]
+        tap_maps = {tap: tap_features(model, x, tap) for tap in ("block3", "block4")}
+        assert flags == [True] * 3 + [True] * 4
         monkeypatch.undo()
         tape.backward(loss)
 
@@ -424,7 +418,7 @@ class TestForward:
             final, maps = walk_backbone(model, x)
             g = ops.fully_connected(ops.global_avg_pool(final), params["ghead.weight"],
                                     params["ghead.bias"])
-            peak, argmax = ops.bank_peaks(maps[idx], params["module0.conv6.weight"])
+            peak, argmax = ops.bank_peaks(maps[7], params["module0.conv6.weight"])
             p = ops.fully_connected(peak, params["module0.phead.weight"],
                                     params["module0.phead.bias"])
             streams = [g, p, ops.cross_channel_avg_pool(peak, 3)]
@@ -432,8 +426,9 @@ class TestForward:
         ref_tape.backward(ref_loss)
 
         # One record fewer per fused pair.
-        assert len(ref_tape) - len(tape) == sum(fused)
-        assert tap_map.data.tobytes() == maps[idx].data.tobytes()
+        assert len(ref_tape) - len(tape) == 4
+        for tap, idx in (("block3", 7), ("block4", 9)):
+            assert tap_maps[tap].data.tobytes() == maps[idx].data.tobytes()
         np.testing.assert_array_equal(out.peak_argmax[0], argmax)
         for got, want in zip([loss, *logit_streams(out)], [ref_loss, *streams], strict=True):
             assert got.data.tobytes() == want.data.tobytes()
@@ -766,6 +761,14 @@ class TestSpecValidation:
          "module 0 bank weight has NaN or inf values"),
         (lambda: build_model(tinynet_spec(4, 2), bank_init=[np.zeros((8, 64, 1, 1))]),
          "module 0 bank_init entry must be a FilterBank or None, got ndarray"),
+        (lambda: BackboneSpec(layers=(relu_layer(), conv(3, 4)), taps={"t": 1}),
+         "relu layer 0 must directly follow a conv layer"),
+        (lambda: BackboneSpec(layers=(conv(3, 4), pool(2, 2), relu_layer()), taps={"t": 2}),
+         "relu layer 2 must directly follow a conv layer"),
+        (lambda: BackboneSpec(layers=(conv(3, 4), relu_layer(), relu_layer()), taps={"t": 2}),
+         "relu layer 2 must directly follow a conv layer"),
+        (lambda: BackboneSpec(tinynet_spec(4).backbone.layers, {"block3": 7, "conv3": 6}),
+         "tap 'conv3' reads conv layer 6, which a relu follows; tap the relu at 7"),
     ], ids=["layer-kind", "layer-geometry", "conv-out-channels", "pool-out-channels", "pool-pad",
             "relu-kernel", "relu-stride", "relu-pad", "module-filters", "no-modules",
             "pooling", "module-tap", "bank-weight", "bank-init-length", "float-bank-classes",
@@ -773,7 +776,8 @@ class TestSpecValidation:
             "bool-kernel", "float-out-channels", "float-stride", "float-pad", "float-tap-index",
             "float-filters", "float-classes", "bool-classes", "float-input-size",
             "no-in-channels", "float-in-channels", "float-seed", "negative-seed", "bool-seed",
-            "ndarray-bank-weight", "nan-bank-weight", "ndarray-bank-init"])
+            "ndarray-bank-weight", "nan-bank-weight", "ndarray-bank-init", "relu-first",
+            "relu-after-pool", "relu-after-relu", "tap-before-relu"])
     def test_bad_spec_rejected(self, make, message):
         with pytest.raises(ValueError, match=message):
             make()

@@ -2,6 +2,7 @@
 
 import decimal
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -719,6 +720,40 @@ class TestGradTape:
         for t in (x, w):
             assert tape.grad(t).data.tobytes() == kept[id(t)].tobytes()
 
+    def test_backward_releases_each_record(self):
+        rng = np.random.default_rng(5)
+        x = Tensor(rng.standard_normal((2, 3, 6, 6)), requires_grad=True)
+        w = Tensor(rng.standard_normal((4, 3, 3, 3)), requires_grad=True)
+        with GradTape() as tape:
+            h = ops.conv2d(x, w, 1, 1)
+            loss = ops.tsum(ops.scale(ops.relu(h), 2.0))
+        kept = backward_keeping_every_gradient(tape, loss)
+        activation = weakref.ref(h.data)
+        del h
+        tape.backward(loss)
+        # Only the released records held the activation; the count stays.
+        assert activation() is None
+        assert len(tape) == 4
+        for t in (x, w):
+            assert tape.grad(t).data.tobytes() == kept[id(t)].tobytes()
+
+    def test_second_backward_rejected(self):
+        x = Tensor(np.ones(3), requires_grad=True)
+        with GradTape() as tape:
+            y = ops.tsum(ops.scale(x, 2.0))
+        tape.backward(y)
+        with pytest.raises(ValueError, match="this tape's backward already ran"):
+            tape.backward(y)
+        np.testing.assert_array_equal(tape.grad(x).data, [2.0, 2.0, 2.0])
+
+    def test_released_leaf_id_is_not_reused(self):
+        # Only the tape referenced this leaf; its gradient entry keeps it
+        # alive, so a later tensor cannot take its id and read its gradient.
+        with GradTape() as tape:
+            y = ops.tsum(ops.scale(Tensor(np.ones(3), requires_grad=True), 2.0))
+        tape.backward(y)
+        assert all(tape.grad(Tensor(np.ones(3))) is None for _ in range(100))
+
     def test_no_recording_without_tape(self):
         x = Tensor(np.ones(3), requires_grad=True)
         out = ops.scale(x, 2.0)
@@ -786,6 +821,16 @@ class TestTensorInvariants:
         with pytest.raises(ValueError, match="extents"):
             Tensor(np.zeros((2, 0, 3)))
 
+    def test_tensor_of_a_tensor_shares_its_data(self):
+        t = Tensor(np.arange(3.0))
+        assert Tensor(t).data is t.data
+        assert Tensor(t, dtype="f32").data.tolist() == [0.0, 1.0, 2.0]
+
+    def test_integers_become_float64(self):
+        for data in (np.arange(3), [0, 1, 2]):
+            t = Tensor(data)
+            assert t.dtype == np.float64 and t.data.tolist() == [0.0, 1.0, 2.0]
+
     def test_row_major_storage(self):
         t = Tensor(np.arange(6.0).reshape(2, 3).T)
         assert t.data.flags["C_CONTIGUOUS"]
@@ -832,8 +877,8 @@ _MAP = np.ones((2, 4, 4))
     (lambda: ops.conv2d(_MAP, np.ones((1, 2, 3, 3)), pad=True),
      "conv2d pad must be an integer, got True"),
     (lambda: ops.maxpool2d(np.ones((4, 4)), 2, 2), r"maxpool2d input must be \(C,H,W\) or \(N,C,H,W\)"),
-    (lambda: ops.maxpool2d(_MAP, 0, 2), "maxpool2d window and stride must be >= 1, got 0, 2"),
-    (lambda: ops.maxpool2d(_MAP, 2, 0), "maxpool2d window and stride must be >= 1, got 2, 0"),
+    (lambda: ops.maxpool2d(_MAP, 0, 2), "maxpool2d window must be >= 1, got 0"),
+    (lambda: ops.maxpool2d(_MAP, 2, 0), "maxpool2d stride must be >= 1, got 0"),
     (lambda: ops.maxpool2d(_MAP, 5, 1), "maxpool2d window 5 does not fit input 4x4"),
     (lambda: ops.maxpool2d(_MAP, 2.5, 2), "maxpool2d window must be an integer, got 2.5"),
     (lambda: ops.maxpool2d(_MAP, 2, 1.5), "maxpool2d stride must be an integer, got 1.5"),
