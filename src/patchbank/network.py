@@ -216,8 +216,8 @@ class FilterBank:
     def __post_init__(self):
         if not isinstance(self.weight, Tensor):
             raise ValueError(f"filter bank weight must be a Tensor, got {type(self.weight).__name__}")
-        check_int("classes", self.classes)
-        check_int("filters_per_class", self.filters_per_class)
+        check_int("classes", self.classes, 2)
+        check_int("filters_per_class", self.filters_per_class, 1)
         km = self.classes * self.filters_per_class
         if self.weight.ndim != 4 or self.weight.shape[0] != km or self.weight.shape[2:] != (1, 1):
             raise ValueError(
@@ -336,29 +336,36 @@ def _run_backbone(model: Model, x: Tensor, upto: int | None = None,
     A conv layer followed by a relu layer runs as one ``conv2d(...,
     relu=True)``, whose backward masks from its output, and the relu layer
     runs nothing; the spec alone decides this.  Without a tape, a batch
-    runs every layer on ``BACKBONE_CHUNK`` images at a time.
-    Each returned map is allocated once at batch size, from the first
-    chunk's shape and dtype, and each chunk's result is copied into its
-    slice as soon as the chunk finishes, so no map exists twice.  Each
-    kernel treats images independently, so the bytes equal a whole-batch
-    pass.
+    runs every layer on ``BACKBONE_CHUNK`` images at a time, and
+    ``ops.parallel_for`` spreads the chunks over its workers.  Each
+    returned map is allocated once at batch size, from the spec's feature
+    shapes, and each chunk's result is copied into its own slice as soon
+    as the chunk finishes, so no map exists twice.  Each kernel treats
+    images independently, so the bytes equal a whole-batch pass.  A taped
+    pass runs whole and serially, since the tape records only the calling
+    thread's ops.
     """
+    layers = model.spec.backbone.layers
+    last = len(layers) - 1 if upto is None else upto
     if x.ndim == 4 and len(x.data) > BACKBONE_CHUNK and active_tape() is None:
         n = len(x.data)
-        for s in range(0, n, BACKBONE_CHUNK):
-            cur, part = _run_backbone(model, Tensor(x.data[s : s + BACKBONE_CHUNK]), upto, keep)
-            if not s:
-                out = np.empty((n, *cur.shape[1:]), cur.dtype)
-                taps = {i: np.empty((n, *t.shape[1:]), t.dtype) for i, t in part.items()}
-            out[s : s + BACKBONE_CHUNK] = cur.data
-            for i, t in part.items():
-                taps[i][s : s + BACKBONE_CHUNK] = t.data
-            del cur, part  # so the next chunk runs without this one's maps
+        shapes = feature_shapes(model.spec.backbone, model.spec.in_channels, model.spec.input_size)
+        dtype = np.result_type(x.data, *(model.params[f"backbone.{i}.weight"].data
+                                         for i in range(last + 1) if layers[i].kind == "conv"))
+        out = np.empty((n, *shapes[last]), dtype)
+        taps = {i: np.empty((n, *shapes[i]), dtype) for i in keep or () if i <= last}
+
+        def run_chunk(c):
+            part = slice(c * BACKBONE_CHUNK, (c + 1) * BACKBONE_CHUNK)
+            cur, kept = _run_backbone(model, Tensor(x.data[part]), upto, keep)
+            out[part] = cur.data
+            for i, t in kept.items():
+                taps[i][part] = t.data
+
+        ops.parallel_for(-(-n // BACKBONE_CHUNK), run_chunk)
         return Tensor(out), {i: Tensor(t) for i, t in taps.items()}
     taps: dict[int, Tensor] = {}
     cur = x
-    layers = model.spec.backbone.layers
-    last = len(layers) - 1 if upto is None else upto
     for i, layer in enumerate(layers[: last + 1]):
         if layer.kind == "conv":
             cur = ops.conv2d(cur, model.params[f"backbone.{i}.weight"], layer.stride, layer.pad,
@@ -375,9 +382,10 @@ def tap_features(model: Model, image, tap: str) -> Tensor:
     same fused ops as ``forward``).
 
     Without an active tape the prefix runs on a few images at a time
-    (``BACKBONE_CHUNK``), each chunk written into one batch-sized output,
-    so the traced peak stays near the output's own bytes; the result is
-    byte-equal to a whole-batch pass.
+    (``BACKBONE_CHUNK``), one chunk per ``ops.parallel_for`` worker at a
+    time, each written into one batch-sized output, so the traced peak
+    stays near the output's own bytes; the result is byte-equal to a
+    whole-batch pass.
     """
     idx = _tap_index(model.spec.backbone, tap)
     x = _check_input(model, image)
@@ -397,9 +405,10 @@ def forward(model: Model, image) -> StreamOutputs:
     maps are never stored; ``pooling="gap"`` needs the dense maps for
     their mean, so it runs ``conv2d`` and then both global pools.
     Without an active tape the backbone runs on a few images at a time
-    (``BACKBONE_CHUNK``), each chunk written into one batch-sized final
-    map and tap, and the heads on the whole batch; every output is
-    byte-equal to a whole-batch pass.
+    (``BACKBONE_CHUNK``), its chunks spread over ``ops.parallel_for``'s
+    workers, each written into one batch-sized final map and tap, and the
+    heads on the whole batch; every output is byte-equal to a whole-batch
+    pass.
     """
     spec = model.spec
     x = _check_input(model, image)

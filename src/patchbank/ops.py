@@ -19,15 +19,109 @@ columns from x when it needs them instead of keeping the whole batch's.
 backward masks each image's gradient from that output, so a conv and
 the ReLU after it keep one activation on the tape, not two; the
 network's backbone runs every conv that a relu follows this way.
+
+Importing this module sets the OpenBLAS that NumPy bundles to one
+thread.  The setting is process-wide: every GEMM in the process, this
+package's or not, then runs on its calling thread.  An idle OpenBLAS
+worker spins on another core for about 0.1 s after each threaded GEMM,
+so Python threads only gain once BLAS keeps to one.  ``parallel_for``
+then spreads independent images over ``WORKERS`` threads, each held to
+its own core for the call: ``bank_peaks`` runs its images this way,
+and the network its untaped backbone chunks.  One thread computes each
+image with one-threaded GEMMs, so each image's bytes depend neither on
+how the batch is split nor on the core count.  Where no setter is found, ``WORKERS`` is 1 and
+every pass runs serially on the calling thread.
 """
 
 from __future__ import annotations
+
+import ctypes
+import os
+import threading
+from pathlib import Path
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .checks import check_int
 from .tensor import Tensor, active_tape
+
+
+def _pin_blas(libs: Path) -> int:
+    """Set the first OpenBLAS under ``libs`` to one thread and return the
+    worker count: the cores this process may run on, or 1 if no setter
+    is found, since Python threads then compete with BLAS's own.  Where
+    the process's cores cannot be read, BLAS is left as it is."""
+    if not hasattr(os, "sched_getaffinity"):
+        return 1
+    for path in sorted(libs.glob("*openblas*")):
+        lib = ctypes.CDLL(str(path))
+        for symbol in ("scipy_openblas_set_num_threads64_", "openblas_set_num_threads64_",
+                       "openblas_set_num_threads"):
+            setter = getattr(lib, symbol, None)
+            if setter is not None:
+                setter.argtypes = [ctypes.c_int]
+                setter.restype = None
+                setter(1)
+                return len(os.sched_getaffinity(0))
+    return 1
+
+
+WORKERS = _pin_blas(Path(np.__file__).resolve().parent.parent / "numpy.libs")
+
+
+def parallel_for(count: int, work) -> None:
+    """Call ``work(i)`` for each i in ``range(count)``, spread over ``WORKERS`` threads.
+
+    The calling thread and one plain thread per further share each claim
+    the lowest i not yet claimed until none is left, so a thread that the
+    machine slows down takes fewer; a single share starts no thread.
+    Where the calling thread may run on at least as many cores as there
+    are shares, each share's thread is held to its own core for the call
+    and the caller's cores are restored after it: left free, the
+    scheduler at times stacks two threads that wake each other (here
+    through the GIL) on one core, and the call then runs serially.  Each
+    ``work(i)`` must touch only its own part of any shared output.  Every
+    thread is joined before this returns, and the first exception a
+    helper thread raised is re-raised here.
+    """
+    shares = min(WORKERS, count)
+    cores = []
+    if shares > 1 and hasattr(os, "sched_getaffinity"):
+        cores = sorted(os.sched_getaffinity(0))
+    pinned = len(cores) >= shares > 1
+    indices = iter(range(count))
+    claim = threading.Lock()
+    errors: list[BaseException] = []
+
+    def run(s):
+        if pinned:
+            os.sched_setaffinity(0, {cores[s]})  # 0 is the calling thread
+        while True:
+            with claim:
+                i = next(indices, None)
+            if i is None:
+                return
+            work(i)
+
+    def run_helper(s):
+        try:
+            run(s)
+        except BaseException as exc:  # handed to the calling thread, which raises it
+            errors.append(exc)
+
+    helpers = [threading.Thread(target=run_helper, args=(s,)) for s in range(1, shares)]
+    for t in helpers:
+        t.start()
+    try:
+        run(0)
+    finally:
+        for t in helpers:
+            t.join()
+        if pinned:
+            os.sched_setaffinity(0, cores)
+    if errors:
+        raise errors[0]
 
 
 def _record(inputs, out: Tensor, backward) -> Tensor:
@@ -203,7 +297,8 @@ def bank_peaks(x: Tensor, weight: Tensor) -> tuple[Tensor, np.ndarray]:
     (J, 2) of (h, w) argmax locations, as ``global_max_pool(conv2d(x,
     weight))`` returns them, byte for byte: each image runs the same
     (J, C) x (C, H*W) product that ``conv2d`` does, so only one image's
-    (J, H*W) response map exists at a time.  Ties take the smallest
+    (J, H*W) response map per ``parallel_for`` worker exists at a time,
+    with the images spread over the workers.  Ties take the smallest
     row-major index and NaN propagates.  Backward touches the peak sites
     only: filter j's gradient sums g[n, j] * x[n, :, peak(n, j)], and x's
     scatters g[n, j] * weight[j] back to each peak.
@@ -225,10 +320,13 @@ def bank_peaks(x: Tensor, weight: Tensor) -> tuple[Tensor, np.ndarray]:
     idx = np.empty((n, nf), dtype=np.intp)
     vals = np.empty((n, nf), dtype=np.result_type(xd, wd))
     filters = np.arange(nf)
-    for i in range(n):
+
+    def peaks(i):
         resp = wmat @ cols[i]
         idx[i] = resp.argmax(axis=1)
         vals[i] = resp[filters, idx[i]]
+
+    parallel_for(n, peaks)
     lead = xd.shape[:-3]
     argmax = np.stack(np.divmod(idx, w), axis=-1).reshape(lead + (nf, 2))
     out = Tensor(vals.reshape(lead + (nf,)))

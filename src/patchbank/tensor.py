@@ -157,6 +157,8 @@ class GradTape:
                 raise ValueError(
                     f"seed gradient shape {g0.shape} != output shape {output.data.shape}"
                 )
+            if not np.isfinite(g0).all():
+                raise ValueError("seed gradient has NaN or inf values")
         self._grads[id(output)] = (output, g0)
         for i in reversed(range(len(self._records))):
             inputs, out, backward = self._records[i]

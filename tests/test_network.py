@@ -3,7 +3,11 @@
 import copy
 import dataclasses
 import inspect
+import os
 import pickle
+import subprocess
+import sys
+import threading
 import tracemalloc
 from pathlib import Path
 
@@ -567,11 +571,135 @@ class TestChunkedBackbone:
         model = build_model(tinynet_spec(4, 2, 32), seed=0)
         x = np.random.default_rng(0).random((2 * CHUNK + 1, 3, 32, 32))
         tap_features(model, x, "block4")
-        assert batches == [CHUNK] * 4 + [CHUNK] * 4 + [1] * 4
+        # Chunks run on concurrent workers, so their calls interleave.
+        assert sorted(batches) == [1] * 4 + [CHUNK] * 8
         batches.clear()
         with GradTape() as tape:
             forward(model, x)
         assert batches == [2 * CHUNK + 1] * 4 and len(tape) > 0
+
+
+class TestWorkers:
+    """Untaped passes spread images over ``ops.WORKERS`` threads; bytes must not move."""
+
+    @pytest.mark.parametrize("pooling", ["gmp", "gap"])
+    @pytest.mark.parametrize("dtype", ["f32", "f64"])
+    @pytest.mark.parametrize("workers", [2, 8])
+    def test_byte_equal_to_one_worker(self, monkeypatch, workers, dtype, pooling):
+        model = build_model(tinynet_spec(4, 2, 32, pooling=pooling), seed=workers, dtype=dtype)
+        x = np.random.default_rng(workers).random((4 * CHUNK + 1, 3, 32, 32))
+        monkeypatch.setattr(ops, "WORKERS", 1)
+        serial = forward_arrays(model, x)
+        monkeypatch.setattr(ops, "WORKERS", workers)
+        spread = forward_arrays(model, x)
+        for got, want in zip(spread, serial, strict=True):
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+    def test_eight_workers_under_fast_switching(self, monkeypatch):
+        # More workers than cores, switching threads every microsecond: a
+        # chunk written to another's slice, or a lost write, changes bytes.
+        model = build_model(tinynet_spec(200, 2, 16), seed=1, dtype="f32")
+        x = np.random.default_rng(1).random((9 * CHUNK + 3, 3, 16, 16))
+        monkeypatch.setattr(ops, "WORKERS", 1)
+        want = forward_arrays(model, x)
+        monkeypatch.setattr(ops, "WORKERS", 8)
+        got = []
+        runner = threading.Thread(target=lambda: got.extend(forward_arrays(model, x)))
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            runner.start()
+            runner.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not runner.is_alive()
+        assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
+
+    def test_helper_exception_reaches_caller(self, monkeypatch):
+        monkeypatch.setattr(ops, "WORKERS", 2)
+        caller, done = threading.get_ident(), []
+        helper_ran = threading.Event()
+
+        def work(i):
+            if threading.get_ident() != caller:
+                helper_ran.set()
+                raise KeyError("in a helper")
+            assert helper_ran.wait(60)  # so the helper claims an index
+            done.append(i)
+
+        before = threading.active_count()
+        with pytest.raises(KeyError, match="in a helper"):
+            ops.parallel_for(4, work)
+        # The caller claims what the failed helper left.
+        assert len(done) == 3 and threading.active_count() == before
+
+    def test_every_index_runs_once_and_the_caller_takes_part(self, monkeypatch):
+        monkeypatch.setattr(ops, "WORKERS", 3)
+        ran, lock = [], threading.Lock()
+        # A thread waiting here claims nothing more, so indices 0-2 go to
+        # three threads, the caller one of them.
+        first_three = threading.Barrier(3, timeout=60)
+
+        def work(i):
+            with lock:
+                ran.append((i, threading.get_ident()))
+            if i < 3:
+                first_three.wait()
+
+        ops.parallel_for(10, work)
+        assert sorted(i for i, _ in ran) == list(range(10))
+        threads = {t for i, t in ran if i < 3}
+        assert len(threads) == 3 and threading.get_ident() in threads
+
+    # Read at import, so a call that failed to give the caller its cores
+    # back cannot shrink them before the test below reads them.
+    CORES = os.sched_getaffinity(0) if hasattr(os, "sched_getaffinity") else set()
+
+    def test_each_thread_held_to_its_own_core(self, monkeypatch):
+        cores = self.CORES
+        if len(cores) < 2:
+            pytest.skip("needs two cores")
+        monkeypatch.setattr(ops, "WORKERS", 2)
+        held = {}
+        both = threading.Barrier(2, timeout=60)
+
+        def work(i):
+            held[threading.get_ident()] = os.sched_getaffinity(0)
+            if i < 2:
+                both.wait()
+
+        ops.parallel_for(6, work)
+        masks = list(held.values())
+        assert len(masks) == 2 and all(len(m) == 1 for m in masks) and masks[0] != masks[1]
+        assert os.sched_getaffinity(0) == cores
+        # More shares than cores: no thread is held.
+        monkeypatch.setattr(ops, "WORKERS", len(cores) + 1)
+        held.clear()
+        ops.parallel_for(len(cores) + 1, lambda i: held.update({i: os.sched_getaffinity(0)}))
+        assert all(m == cores for m in held.values()) and os.sched_getaffinity(0) == cores
+
+    def test_one_worker_without_a_blas_setter(self, tmp_path):
+        assert ops._pin_blas(tmp_path) == 1
+
+    def test_wide_bank_logits_do_not_depend_on_blas_threads(self):
+        # A K = 2,000 P head gave other f32 bytes at two OpenBLAS threads
+        # than at one before the package pinned BLAS to one thread.
+        script = (
+            "import hashlib, numpy as np\n"
+            "from patchbank.network import build_model, forward, logit_streams, tinynet_spec\n"
+            "model = build_model(tinynet_spec(200, 10, 16), seed=0, dtype='f32')\n"
+            "x = np.random.default_rng(0).random((8, 3, 16, 16))\n"
+            "logits = b''.join(t.data.tobytes() for t in logit_streams(forward(model, x)))\n"
+            "print(hashlib.sha256(logits).hexdigest())\n"
+        )
+        src = str(Path(network.__file__).resolve().parents[1])
+        digests = set()
+        for threads in ("1", "2"):
+            env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "PYTHONPATH": src}
+            done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                                  text=True, timeout=120, check=True)
+            digests.add(done.stdout.strip())
+        assert len(digests) == 1
 
 
 # ------------------------------------------------------------------- fusion
@@ -733,6 +861,12 @@ class TestSpecValidation:
          "classes must be an integer, got 2.5"),
         (lambda: FilterBank(weight=Tensor(np.zeros((4, 4, 1, 1))), classes=2, filters_per_class=True),
          "filters_per_class must be an integer, got True"),
+        (lambda: FilterBank(Tensor(np.ones((2, 4, 1, 1))), classes=-1, filters_per_class=-2),
+         "classes must be >= 2, got -1"),
+        (lambda: FilterBank(Tensor(np.ones((2, 4, 1, 1))), classes=1, filters_per_class=2),
+         "classes must be >= 2, got 1"),
+        (lambda: FilterBank(Tensor(np.ones((2, 4, 1, 1))), classes=2, filters_per_class=0),
+         "filters_per_class must be >= 1, got 0"),
         (lambda: conv(2.5, 4), "kernel must be an integer, got 2.5"),
         (lambda: conv(True, 4), "kernel must be an integer, got True"),
         (lambda: conv(3, 4.5), "out_channels must be an integer, got 4.5"),
@@ -772,7 +906,8 @@ class TestSpecValidation:
     ], ids=["layer-kind", "layer-geometry", "conv-out-channels", "pool-out-channels", "pool-pad",
             "relu-kernel", "relu-stride", "relu-pad", "module-filters", "no-modules",
             "pooling", "module-tap", "bank-weight", "bank-init-length", "float-bank-classes",
-            "bool-bank-filters", "float-kernel",
+            "bool-bank-filters", "negative-bank-counts", "one-bank-class", "no-bank-filters",
+            "float-kernel",
             "bool-kernel", "float-out-channels", "float-stride", "float-pad", "float-tap-index",
             "float-filters", "float-classes", "bool-classes", "float-input-size",
             "no-in-channels", "float-in-channels", "float-seed", "negative-seed", "bool-seed",

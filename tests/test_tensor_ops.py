@@ -796,6 +796,22 @@ class TestGradTape:
         with pytest.raises(ValueError, match=r"seed gradient shape \(2,\) != output shape \(3,\)"):
             tape.backward(y, seed=np.ones(2))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_seed_rejected(self, bad):
+        x = Tensor(np.ones(3), requires_grad=True)
+        with GradTape() as tape:
+            y = ops.scale(x, 2.0)
+        with pytest.raises(ValueError, match="seed gradient has NaN or inf values"):
+            tape.backward(y, seed=np.array([1.0, bad, 1.0]))
+
+    def test_wrong_gradient_shape_from_a_record_raises(self):
+        x = Tensor(np.ones(3), requires_grad=True)
+        y = Tensor(np.ones(3))
+        with GradTape() as tape:
+            tape.record((x,), y, lambda g: (g[:2],))
+        with pytest.raises(AssertionError, match=r"gradient shape \(2,\) != tensor shape \(3,\)"):
+            tape.backward(y)
+
     def test_nested_tapes_rejected(self):
         with GradTape():
             with pytest.raises(RuntimeError, match="already active"):
