@@ -14,14 +14,13 @@ from __future__ import annotations
 
 import colorsys
 import csv
-import math
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from .boxes import Box
-from .checks import check_int
+from .checks import check_int, check_real
 from .imageio import load_ppm, save_ppm
 
 
@@ -71,15 +70,10 @@ class SynthSpec:
     def __post_init__(self):
         for name in ("jitter", "noise", "cue_reliability", "tint_strength",
                      "background_amplitude", "neutral_patch_rate", "patch_contrast"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
-        for name in ("classes", "per_class_train", "per_class_test", "image_size", "patch_size",
-                     "distractors", "seed"):
-            check_int(name, getattr(self, name))
+            check_real(name, getattr(self, name), 0 if name == "noise" else None)
         for name, least in (("classes", 1), ("per_class_train", 0), ("per_class_test", 0),
-                            ("patch_size", 1), ("noise", 0), ("distractors", 0)):
-            if getattr(self, name) < least:
-                raise ValueError(f"{name} must be >= {least}, got {getattr(self, name)}")
+                            ("image_size", 2), ("patch_size", 1), ("distractors", 0), ("seed", 0)):
+            check_int(name, getattr(self, name), least)
         if self.patch_size >= self.image_size:
             raise ValueError("patch_size must be smaller than image_size")
         for name in ("jitter", "cue_reliability", "neutral_patch_rate"):

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .checks import check_int
+from .checks import check_int, check_real
 from .tensor import GradTape, Tensor
 
 
@@ -20,8 +20,9 @@ def finite_difference_check(f, x: Tensor, eps: float = 1e-4, max_coords: int | N
     in either gradient makes that coordinate's error, and the result, NaN,
     so a ``< tol`` check fails.
     """
-    if not 0.0 < eps < np.inf:
-        raise ValueError(f"eps must be finite and > 0, got {eps!r}")
+    check_real("eps", eps)
+    if eps <= 0:
+        raise ValueError(f"eps must be > 0, got {eps!r}")
     if max_coords is not None:
         check_int("max_coords", max_coords, 1)
     x = x if isinstance(x, Tensor) else Tensor(x)

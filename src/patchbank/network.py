@@ -1,13 +1,15 @@
 """Declarative model construction and the three-stream forward pass.
 
-A backbone is an ordered stack of conv/pool/relu layers with named tap
-points.  At each tapped feature map a patch-detector module attaches a
-bank of 1x1 filters (``conv6``), pools each response map to one value by
-global max or average pooling, classifies the pooled vector (P-Stream),
-and feeds a parameter-free side branch that averages each class's filter
-group (the side stream).  The G-Stream is one GAP+FC head: it averages
-the final backbone map over space and classifies that vector.  The G, P
-and side streams are merged at test time by a weighted sum of logits.
+A backbone is an ordered stack of ``Conv``, ``Pool`` and ``ReLU`` layers,
+one frozen type per kind, with named tap points; each ``ReLU`` runs fused
+into the ``Conv`` before it.  At each tapped feature map a patch-detector
+module attaches a bank of 1x1 filters (``conv6``), pools each response map
+to one value by global max or average pooling, classifies the pooled
+vector (P-Stream), and feeds a parameter-free side branch that averages
+each class's filter group (the side stream).  The G-Stream is one GAP+FC
+head: it averages the final backbone map over space and classifies that
+vector.  The G, P and side streams are merged at test time by a weighted
+sum of logits.
 """
 
 from __future__ import annotations
@@ -20,60 +22,56 @@ from typing import ClassVar
 import numpy as np
 
 from . import ops
-from .checks import check_int
+from .checks import check_int, check_real
 from .tensor import Tensor, active_tape, resolve_dtype
-
-LAYER_KINDS = ("conv", "pool", "relu")
 
 # Images per backbone pass when no tape records: a few images' activations
 # and im2col columns fit in cache, where a whole batch's do not.
 BACKBONE_CHUNK = 4
 
 
+# One frozen type per layer kind; what a kind cannot vary is a ClassVar.
 @dataclass(frozen=True)
-class LayerSpec:
-    kind: str
-    kernel: int = 1
+class Conv:
+    kernel: int
+    out_channels: int
     stride: int = 1
     pad: int = 0
-    out_channels: int | None = None
+    kind: ClassVar[str] = "conv"
 
     def __post_init__(self):
-        if self.kind not in LAYER_KINDS:
-            raise ValueError(f"unknown layer kind {self.kind!r}")
-        for name in ("kernel", "stride", "pad"):
-            check_int(name, getattr(self, name))
-        if self.out_channels is not None:
-            check_int("out_channels", self.out_channels)
-        if self.kernel < 1 or self.stride < 1 or self.pad < 0:
-            raise ValueError(f"bad layer geometry: {self}")
-        if self.kind == "conv" and (self.out_channels is None or self.out_channels < 1):
-            raise ValueError(f"conv layer needs out_channels >= 1: {self}")
-        if self.kind != "conv" and self.out_channels is not None:
-            raise ValueError(f"only conv layers carry out_channels: {self}")
-        if self.kind == "pool" and self.pad != 0:
-            raise ValueError("pool layers support pad=0 only")
-        if self.kind == "relu" and (self.kernel, self.stride, self.pad) != (1, 1, 0):
-            raise ValueError(f"relu layers take kernel=1, stride=1, pad=0: {self}")
+        for name, least in (("kernel", 1), ("out_channels", 1), ("stride", 1), ("pad", 0)):
+            check_int(name, getattr(self, name), least)
 
 
-def conv(kernel: int, out_channels: int, stride: int = 1, pad: int = 0) -> LayerSpec:
-    return LayerSpec("conv", kernel, stride, pad, out_channels)
+@dataclass(frozen=True)
+class Pool:
+    kernel: int
+    stride: int
+    kind: ClassVar[str] = "pool"
+    pad: ClassVar[int] = 0
+
+    def __post_init__(self):
+        check_int("kernel", self.kernel, 1)
+        check_int("stride", self.stride, 1)
 
 
-def pool(kernel: int, stride: int) -> LayerSpec:
-    return LayerSpec("pool", kernel, stride)
+@dataclass(frozen=True)
+class ReLU:
+    kind: ClassVar[str] = "relu"
+    kernel: ClassVar[int] = 1
+    stride: ClassVar[int] = 1
+    pad: ClassVar[int] = 0
 
 
-def relu_layer() -> LayerSpec:
-    return LayerSpec("relu")
+Layer = Conv | Pool | ReLU
 
 
 @dataclass(frozen=True)
 class BackboneSpec:
     """Layers and named tap points; frozen, with ``taps`` a read-only mapping."""
 
-    layers: tuple[LayerSpec, ...]
+    layers: tuple[Layer, ...]
     taps: Mapping[str, int]
 
     def __post_init__(self):
@@ -81,6 +79,8 @@ class BackboneSpec:
         object.__setattr__(self, "taps", MappingProxyType(dict(self.taps)))
         # Each relu runs fused into the conv before it, whose pre-ReLU map no tap reads.
         for i, layer in enumerate(self.layers):
+            if not isinstance(layer, Layer):
+                raise ValueError(f"layer {i} must be a Conv, Pool or ReLU, got {layer!r}")
             if layer.kind == "relu" and (i == 0 or self.layers[i - 1].kind != "conv"):
                 raise ValueError(f"relu layer {i} must directly follow a conv layer")
         for name, idx in self.taps.items():
@@ -158,9 +158,7 @@ class DFLModuleSpec:
     with_side_branch: ClassVar[bool] = True
 
     def __post_init__(self):
-        check_int("filters_per_class", self.filters_per_class)
-        if self.filters_per_class < 1:
-            raise ValueError(f"need at least 1 filter per class, got {self.filters_per_class}")
+        check_int("filters_per_class", self.filters_per_class, 1)
 
 
 @dataclass(frozen=True)
@@ -190,6 +188,8 @@ class ModelSpec:
             check_int(name, getattr(self, name), least)
         if self.pooling not in ("gmp", "gap"):
             raise ValueError(f"pooling must be 'gmp' or 'gap', got {self.pooling!r}")
+        for name in ("fusion_g", "fusion_p", "fusion_side"):
+            check_real(name, getattr(self, name))
         _check_fusion_weights(np.array([self.fusion_g, self.fusion_p, self.fusion_side]))
         for m in self.modules:
             if m.tap not in self.backbone.taps:
@@ -470,10 +470,10 @@ def tinynet_spec(classes: int, filters_per_class: int = 4, input_size: int = 64,
     pools after blocks 1 and 2, patch module tapped after block 3
     (receptive field 18, stride 4 on the input)."""
     layers = (
-        conv(3, 16, pad=1), relu_layer(), pool(2, 2),
-        conv(3, 32, pad=1), relu_layer(), pool(2, 2),
-        conv(3, 64, pad=1), relu_layer(),
-        conv(3, 64, pad=1), relu_layer(),
+        Conv(3, 16, pad=1), ReLU(), Pool(2, 2),
+        Conv(3, 32, pad=1), ReLU(), Pool(2, 2),
+        Conv(3, 64, pad=1), ReLU(),
+        Conv(3, 64, pad=1), ReLU(),
     )
     backbone = BackboneSpec(layers=layers, taps={"block3": 7, "block4": 9})
     module = DFLModuleSpec(tap="block3", filters_per_class=filters_per_class)
@@ -484,13 +484,13 @@ def tinynet_spec(classes: int, filters_per_class: int = 4, input_size: int = 64,
 def vgg16_backbone() -> BackboneSpec:
     """The 16-layer VGG conv stack through conv5_3 with named taps."""
     channels = [(64, 64), (128, 128), (256, 256, 256), (512, 512, 512), (512, 512, 512)]
-    layers: list[LayerSpec] = []
+    layers: list[Layer] = []
     names: dict[str, int] = {}
     for bi, block in enumerate(channels, start=1):
         for ci, ch in enumerate(block, start=1):
-            layers.append(conv(3, ch, pad=1))
-            layers.append(relu_layer())
+            layers.append(Conv(3, ch, pad=1))
+            layers.append(ReLU())
             names[f"conv{bi}_{ci}"] = len(layers) - 1  # tap after the relu
         if bi < len(channels):
-            layers.append(pool(2, 2))
+            layers.append(Pool(2, 2))
     return BackboneSpec(layers=tuple(layers), taps=names)

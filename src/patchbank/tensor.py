@@ -39,9 +39,9 @@ class Tensor:
 
     def __init__(self, data, requires_grad: bool = False, dtype=None):
         arr = np.asarray(data)  # a Tensor's __array__ returns its data uncopied
-        if arr.dtype.kind == "c":
-            # A cast would keep the real part and only warn.
-            raise ValueError(f"tensor data must be real, got dtype {arr.dtype}")
+        if arr.dtype.kind not in "biuf":
+            # A cast would keep a complex value's real part, or turn None into NaN.
+            raise ValueError(f"tensor data must be bool, int or float, got dtype {arr.dtype}")
         if dtype is not None:
             arr = arr.astype(resolve_dtype(dtype), copy=False)
         elif arr.dtype != np.float32 and arr.dtype != np.float64:
@@ -152,7 +152,7 @@ class GradTape:
         if seed is None:
             g0 = np.ones_like(output.data)
         else:
-            g0 = np.asarray(seed, dtype=output.data.dtype)
+            g0 = Tensor(seed, dtype=output.dtype).data
             if g0.shape != output.data.shape:
                 raise ValueError(
                     f"seed gradient shape {g0.shape} != output shape {output.data.shape}"

@@ -293,6 +293,10 @@ def _manifest(directory, text):
     (lambda d: small_spec(patch_size=8.5), "patch_size must be an integer, got 8.5"),
     (lambda d: small_spec(distractors=1.5), "distractors must be an integer, got 1.5"),
     (lambda d: small_spec(seed=True), "seed must be an integer, got True"),
+    (lambda d: small_spec(seed=-1), "seed must be >= 0, got -1"),
+    (lambda d: small_spec(noise=None), "noise must be a real number, got None"),
+    (lambda d: small_spec(noise=True), "noise must be a real number, got True"),
+    (lambda d: small_spec(tint_strength="0.2"), "tint_strength must be a real number, got '0.2'"),
     (lambda d: load_folder(_manifest(d, "file,class\ni.ppm,0\n"), 16),
      r"m\.csv: expected 'path,label' header, got \['file', 'class'\]"),
     (lambda d: load_folder(_manifest(d, "path,label\n"), 0), "image_size must be >= 1, got 0"),
@@ -304,7 +308,8 @@ def _manifest(directory, text):
         "negative-noise", "negative-distractors", "nan-noise", "nan-background",
         "inf-tint", "inf-contrast", "nan-jitter", "float-classes", "bool-classes",
         "float-train-count", "float-test-count", "float-image-size", "float-patch-size",
-        "float-distractors", "bool-seed", "manifest-header", "image-size-0",
+        "float-distractors", "bool-seed", "negative-seed", "none-noise", "bool-noise",
+        "string-tint", "manifest-header", "image-size-0",
         "image-size-negative", "image-size-float"])
 def test_bad_input_rejected(tmp_path, call, message):
     with pytest.raises(ValueError, match=message):

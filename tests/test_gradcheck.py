@@ -167,15 +167,19 @@ def test_non_finite_gradient_fails_the_check(f):
 
 
 @pytest.mark.parametrize("kwargs,message", [
-    ({"eps": np.nan}, "eps must be finite and > 0, got nan"),
-    ({"eps": np.inf}, "eps must be finite and > 0, got inf"),
-    ({"eps": 0.0}, "eps must be finite and > 0, got 0.0"),
-    ({"eps": -EPS}, "eps must be finite and > 0, got -0.0001"),
+    ({"eps": np.nan}, "eps must be finite, got nan"),
+    ({"eps": np.inf}, "eps must be finite, got inf"),
+    ({"eps": 0.0}, "eps must be > 0, got 0.0"),
+    ({"eps": -EPS}, "eps must be > 0, got -0.0001"),
+    ({"eps": True}, "eps must be a real number, got True"),
+    ({"eps": "1e-4"}, "eps must be a real number, got '1e-4'"),
+    ({"eps": None}, "eps must be a real number, got None"),
     ({"max_coords": 0}, "max_coords must be >= 1, got 0"),
     ({"max_coords": -1}, "max_coords must be >= 1, got -1"),
     ({"max_coords": 2.5}, "max_coords must be an integer, got 2.5"),
     ({"max_coords": True}, "max_coords must be an integer, got True"),
-], ids=["eps-nan", "eps-inf", "eps-zero", "eps-negative", "max-coords-zero",
+], ids=["eps-nan", "eps-inf", "eps-zero", "eps-negative", "eps-bool", "eps-string", "eps-none",
+        "max-coords-zero",
         "max-coords-negative", "max-coords-float", "max-coords-bool"])
 def test_bad_arguments_rejected(kwargs, message):
     with pytest.raises(ValueError, match=message):

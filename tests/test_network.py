@@ -16,20 +16,19 @@ import pytest
 
 from patchbank.network import (
     BackboneSpec,
+    Conv,
     DFLModuleSpec,
     FilterBank,
-    LayerSpec,
     ModelSpec,
+    Pool,
+    ReLU,
     StreamOutputs,
     build_model,
-    conv,
     feature_shapes,
     forward,
     fuse_predictions,
     logit_streams,
-    pool,
     receptive_field,
-    relu_layer,
     tap_features,
     tinynet_spec,
     vgg16_backbone,
@@ -98,12 +97,12 @@ class TestReceptiveField:
         assert rf.stride == 8
 
     def test_single_1x1_conv(self):
-        spec = BackboneSpec(layers=(conv(1, 4),), taps={"t": 0})
+        spec = BackboneSpec(layers=(Conv(1, 4),), taps={"t": 0})
         rf = receptive_field(spec, "t")
         assert (rf.size, rf.stride, rf.offset) == (1, 1, 0.0)
 
     def test_conv_pool_conv_is_8_by_2(self):
-        spec = BackboneSpec(layers=(conv(3, 4), pool(2, 2), conv(3, 4)), taps={"t": 2})
+        spec = BackboneSpec(layers=(Conv(3, 4), Pool(2, 2), Conv(3, 4)), taps={"t": 2})
         rf = receptive_field(spec, "t")
         assert rf.size == 8
         assert rf.stride == 2
@@ -140,12 +139,12 @@ class TestReceptiveField:
             for _ in range(int(rng.integers(1, 9))):
                 kind = rng.choice(["conv", "pool", "relu"], p=[0.5, 0.3, 0.2])
                 if kind == "conv":
-                    layers.append(conv(int(rng.integers(1, 5)), int(rng.integers(1, 4)),
+                    layers.append(Conv(int(rng.integers(1, 5)), int(rng.integers(1, 4)),
                                        stride=int(rng.integers(1, 3)), pad=int(rng.integers(0, 2))))
                 elif kind == "pool":
-                    layers.append(pool(int(rng.integers(2, 4)), int(rng.integers(1, 3))))
+                    layers.append(Pool(int(rng.integers(2, 4)), int(rng.integers(1, 3))))
                 elif layers and layers[-1].kind == "conv":  # a relu only right after a conv
-                    layers.append(relu_layer())
+                    layers.append(ReLU())
             try:
                 spec = BackboneSpec(layers=tuple(layers), taps={"t": len(layers) - 1})
                 shapes = feature_shapes(spec, 2, 20)
@@ -259,6 +258,13 @@ def two_module_spec():
                      classes=spec.classes)
 
 
+def tiny_model_spec(**overrides):
+    """tinynet_spec(4)'s ModelSpec with some fields replaced."""
+    base = tinynet_spec(4)
+    fields = dict(backbone=base.backbone, modules=base.modules, input_size=64, classes=4)
+    return ModelSpec(**{**fields, **overrides})
+
+
 def walk_backbone(model, x):
     """Every backbone layer as its own op, conv and relu unfused; returns (output, all maps)."""
     cur = x if isinstance(x, Tensor) else Tensor(x, dtype=model.dtype)
@@ -321,7 +327,7 @@ class TestForward:
         assert not outs.side_logits[0].data.any()
 
     def test_matches_hand_rolled_trace(self):
-        backbone = BackboneSpec(layers=(conv(1, 3),), taps={"t": 0})
+        backbone = BackboneSpec(layers=(Conv(1, 3),), taps={"t": 0})
         spec = ModelSpec(
             backbone=backbone,
             modules=(DFLModuleSpec(tap="t", filters_per_class=1),),
@@ -757,10 +763,10 @@ class TestFusePredictions:
 class TestSpecValidation:
     def test_tap_out_of_range(self):
         with pytest.raises(ValueError, match="out of range"):
-            BackboneSpec(layers=(conv(3, 4),), taps={"t": 5})
+            BackboneSpec(layers=(Conv(3, 4),), taps={"t": 5})
 
     def test_collapsing_feature_map_rejected(self):
-        spec = BackboneSpec(layers=(pool(2, 2), pool(2, 2), pool(2, 2)), taps={"t": 2})
+        spec = BackboneSpec(layers=(Pool(2, 2), Pool(2, 2), Pool(2, 2)), taps={"t": 2})
         with pytest.raises(ValueError, match="collapses"):
             feature_shapes(spec, 3, 4)
 
@@ -821,7 +827,7 @@ class TestSpecValidation:
         with pytest.raises(TypeError):
             spec.backbone.taps["block3"] = 0
         taps = {"t": 0}
-        backbone = BackboneSpec(layers=(conv(3, 4),), taps=taps)
+        backbone = BackboneSpec(layers=(Conv(3, 4),), taps=taps)
         taps["t"] = 5  # the spec keeps its own copy of the caller's mapping
         assert backbone.taps == {"t": 0}
         assert (spec.pooling, spec.fusion_side, spec.backbone.taps["block3"]) == ("gmp", 0.1, 7)
@@ -833,76 +839,87 @@ class TestSpecValidation:
             with pytest.raises(TypeError):
                 copied.backbone.taps["block3"] = 0
 
-    @pytest.mark.parametrize("make,message", [
-        (lambda: LayerSpec("norm"), "unknown layer kind 'norm'"),
-        (lambda: LayerSpec("pool", kernel=0), "bad layer geometry"),
-        (lambda: LayerSpec("conv", kernel=3), "conv layer needs out_channels >= 1"),
-        (lambda: LayerSpec("pool", kernel=2, stride=2, out_channels=4),
-         "only conv layers carry out_channels"),
-        (lambda: LayerSpec("pool", kernel=2, stride=2, pad=1), "pool layers support pad=0 only"),
-        (lambda: LayerSpec("relu", kernel=3), "relu layers take kernel=1, stride=1, pad=0"),
-        (lambda: LayerSpec("relu", stride=2), "relu layers take kernel=1, stride=1, pad=0"),
-        (lambda: LayerSpec("relu", pad=1), "relu layers take kernel=1, stride=1, pad=0"),
-        (lambda: DFLModuleSpec(tap="t", filters_per_class=0),
-         "need at least 1 filter per class, got 0"),
-        (lambda: ModelSpec(backbone=tinynet_spec(4).backbone, modules=(), input_size=64,
-                           classes=4), "at least one patch-detector module is required"),
-        (lambda: ModelSpec(backbone=tinynet_spec(4).backbone, modules=tinynet_spec(4).modules,
-                           input_size=64, classes=4, pooling="avg"),
-         "pooling must be 'gmp' or 'gap', got 'avg'"),
-        (lambda: ModelSpec(backbone=tinynet_spec(4).backbone, input_size=64, classes=4,
-                           modules=(DFLModuleSpec("conv6", 2),)),
-         "module tap 'conv6' is not a backbone tap"),
-        (lambda: FilterBank(weight=Tensor(np.zeros((8, 4, 3, 3))), classes=4, filters_per_class=2),
-         r"filter bank weight must be \(8, C, 1, 1\), got \(8, 4, 3, 3\)"),
-        (lambda: build_model(tinynet_spec(4), bank_init=[]),
-         r"bank_init must have one entry per module \(1\), got 0"),
-        (lambda: FilterBank(weight=Tensor(np.zeros((5, 4, 1, 1))), classes=2.5, filters_per_class=2),
-         "classes must be an integer, got 2.5"),
-        (lambda: FilterBank(weight=Tensor(np.zeros((4, 4, 1, 1))), classes=2, filters_per_class=True),
-         "filters_per_class must be an integer, got True"),
-        (lambda: FilterBank(Tensor(np.ones((2, 4, 1, 1))), classes=-1, filters_per_class=-2),
-         "classes must be >= 2, got -1"),
-        (lambda: FilterBank(Tensor(np.ones((2, 4, 1, 1))), classes=1, filters_per_class=2),
-         "classes must be >= 2, got 1"),
-        (lambda: FilterBank(Tensor(np.ones((2, 4, 1, 1))), classes=2, filters_per_class=0),
+    @pytest.mark.parametrize("error,make,message", [
+        # A layer type holds only the fields its kind can vary; any other is a TypeError.
+        (TypeError, lambda: Conv(3, 4, kind="norm"), "unexpected keyword argument 'kind'"),
+        (ValueError, lambda: Pool(0, 2), "kernel must be >= 1, got 0"),
+        (TypeError, lambda: Conv(3), "missing 1 required positional argument: 'out_channels'"),
+        (TypeError, lambda: Pool(2, 2, out_channels=4),
+         "unexpected keyword argument 'out_channels'"),
+        (TypeError, lambda: Pool(2, 2, pad=1), "unexpected keyword argument 'pad'"),
+        (TypeError, lambda: ReLU(kernel=3), "unexpected keyword argument 'kernel'"),
+        (TypeError, lambda: ReLU(stride=2), "unexpected keyword argument 'stride'"),
+        (TypeError, lambda: ReLU(pad=1), "unexpected keyword argument 'pad'"),
+        (ValueError, lambda: DFLModuleSpec(tap="t", filters_per_class=0),
          "filters_per_class must be >= 1, got 0"),
-        (lambda: conv(2.5, 4), "kernel must be an integer, got 2.5"),
-        (lambda: conv(True, 4), "kernel must be an integer, got True"),
-        (lambda: conv(3, 4.5), "out_channels must be an integer, got 4.5"),
-        (lambda: conv(3, 4, stride=1.5), "stride must be an integer, got 1.5"),
-        (lambda: conv(3, 4, pad=0.5), "pad must be an integer, got 0.5"),
-        (lambda: BackboneSpec(layers=(conv(3, 4),), taps={"t": 0.0}),
+        (ValueError, lambda: tiny_model_spec(modules=()),
+         "at least one patch-detector module is required"),
+        (ValueError, lambda: tiny_model_spec(pooling="avg"),
+         "pooling must be 'gmp' or 'gap', got 'avg'"),
+        (ValueError, lambda: tiny_model_spec(modules=(DFLModuleSpec("conv6", 2),)),
+         "module tap 'conv6' is not a backbone tap"),
+        (ValueError, lambda: FilterBank(Tensor(np.zeros((8, 4, 3, 3))), 4, 2),
+         r"filter bank weight must be \(8, C, 1, 1\), got \(8, 4, 3, 3\)"),
+        (ValueError, lambda: build_model(tinynet_spec(4), bank_init=[]),
+         r"bank_init must have one entry per module \(1\), got 0"),
+        (ValueError, lambda: FilterBank(Tensor(np.zeros((5, 4, 1, 1))), classes=2.5,
+                                        filters_per_class=2),
+         "classes must be an integer, got 2.5"),
+        (ValueError, lambda: FilterBank(Tensor(np.zeros((4, 4, 1, 1))), classes=2,
+                                        filters_per_class=True),
+         "filters_per_class must be an integer, got True"),
+        (ValueError, lambda: FilterBank(Tensor(np.ones((2, 4, 1, 1))), classes=-1,
+                                        filters_per_class=-2),
+         "classes must be >= 2, got -1"),
+        (ValueError, lambda: FilterBank(Tensor(np.ones((2, 4, 1, 1))), classes=1,
+                                        filters_per_class=2),
+         "classes must be >= 2, got 1"),
+        (ValueError, lambda: FilterBank(Tensor(np.ones((2, 4, 1, 1))), classes=2,
+                                        filters_per_class=0),
+         "filters_per_class must be >= 1, got 0"),
+        (ValueError, lambda: Conv(2.5, 4), "kernel must be an integer, got 2.5"),
+        (ValueError, lambda: Conv(True, 4), "kernel must be an integer, got True"),
+        (ValueError, lambda: Conv(3, 4.5), "out_channels must be an integer, got 4.5"),
+        (ValueError, lambda: Conv(3, 4, stride=1.5), "stride must be an integer, got 1.5"),
+        (ValueError, lambda: Conv(3, 4, pad=0.5), "pad must be an integer, got 0.5"),
+        (ValueError, lambda: BackboneSpec(layers=(Conv(3, 4),), taps={"t": 0.0}),
          "tap 't' index must be an integer, got 0.0"),
-        (lambda: DFLModuleSpec(tap="t", filters_per_class=2.5),
+        (ValueError, lambda: DFLModuleSpec(tap="t", filters_per_class=2.5),
          "filters_per_class must be an integer, got 2.5"),
-        (lambda: tinynet_spec(2.5), "classes must be an integer, got 2.5"),
-        (lambda: tinynet_spec(True), "classes must be an integer, got True"),
-        (lambda: tinynet_spec(3, 2, 16.5), "input_size must be an integer, got 16.5"),
-        (lambda: ModelSpec(backbone=tinynet_spec(4).backbone, modules=tinynet_spec(4).modules,
-                           input_size=64, classes=4, in_channels=0),
-         "in_channels must be >= 1, got 0"),
-        (lambda: ModelSpec(backbone=tinynet_spec(4).backbone, modules=tinynet_spec(4).modules,
-                           input_size=64, classes=4, in_channels=3.0),
+        (ValueError, lambda: tinynet_spec(2.5), "classes must be an integer, got 2.5"),
+        (ValueError, lambda: tinynet_spec(True), "classes must be an integer, got True"),
+        (ValueError, lambda: tinynet_spec(3, 2, 16.5), "input_size must be an integer, got 16.5"),
+        (ValueError, lambda: tiny_model_spec(in_channels=0), "in_channels must be >= 1, got 0"),
+        (ValueError, lambda: tiny_model_spec(in_channels=3.0),
          "in_channels must be an integer, got 3.0"),
-        (lambda: build_model(tinynet_spec(4), seed=2.5), "seed must be an integer, got 2.5"),
-        (lambda: build_model(tinynet_spec(4), seed=-1), "seed must be >= 0, got -1"),
-        (lambda: build_model(tinynet_spec(4), seed=True), "seed must be an integer, got True"),
-        (lambda: FilterBank(weight=np.zeros((8, 64, 1, 1)), classes=4, filters_per_class=2),
+        (ValueError, lambda: build_model(tinynet_spec(4), seed=2.5),
+         "seed must be an integer, got 2.5"),
+        (ValueError, lambda: build_model(tinynet_spec(4), seed=-1), "seed must be >= 0, got -1"),
+        (ValueError, lambda: build_model(tinynet_spec(4), seed=True),
+         "seed must be an integer, got True"),
+        (ValueError, lambda: FilterBank(np.zeros((8, 64, 1, 1)), classes=4, filters_per_class=2),
          "filter bank weight must be a Tensor, got ndarray"),
-        (lambda: build_model(tinynet_spec(4, 2), bank_init=[
+        (ValueError, lambda: build_model(tinynet_spec(4, 2), bank_init=[
             FilterBank(Tensor(np.full((8, 64, 1, 1), np.nan)), classes=4, filters_per_class=2)]),
          "module 0 bank weight has NaN or inf values"),
-        (lambda: build_model(tinynet_spec(4, 2), bank_init=[np.zeros((8, 64, 1, 1))]),
+        (ValueError, lambda: build_model(tinynet_spec(4, 2), bank_init=[np.zeros((8, 64, 1, 1))]),
          "module 0 bank_init entry must be a FilterBank or None, got ndarray"),
-        (lambda: BackboneSpec(layers=(relu_layer(), conv(3, 4)), taps={"t": 1}),
+        (ValueError, lambda: BackboneSpec(layers=(ReLU(), Conv(3, 4)), taps={"t": 1}),
          "relu layer 0 must directly follow a conv layer"),
-        (lambda: BackboneSpec(layers=(conv(3, 4), pool(2, 2), relu_layer()), taps={"t": 2}),
+        (ValueError, lambda: BackboneSpec(layers=(Conv(3, 4), Pool(2, 2), ReLU()), taps={"t": 2}),
          "relu layer 2 must directly follow a conv layer"),
-        (lambda: BackboneSpec(layers=(conv(3, 4), relu_layer(), relu_layer()), taps={"t": 2}),
+        (ValueError, lambda: BackboneSpec(layers=(Conv(3, 4), ReLU(), ReLU()), taps={"t": 2}),
          "relu layer 2 must directly follow a conv layer"),
-        (lambda: BackboneSpec(tinynet_spec(4).backbone.layers, {"block3": 7, "conv3": 6}),
+        (ValueError, lambda: BackboneSpec(tinynet_spec(4).backbone.layers,
+                                          {"block3": 7, "conv3": 6}),
          "tap 'conv3' reads conv layer 6, which a relu follows; tap the relu at 7"),
+        (ValueError, lambda: BackboneSpec(layers=(Conv(3, 4), "pool"), taps={"t": 0}),
+         "layer 1 must be a Conv, Pool or ReLU, got 'pool'"),
+        (ValueError, lambda: tiny_model_spec(fusion_g="1"),
+         "fusion_g must be a real number, got '1'"),
+        (ValueError, lambda: tiny_model_spec(fusion_p=None), "fusion_p must be a real number, got None"),
+        (ValueError, lambda: tiny_model_spec(fusion_side=True),
+         "fusion_side must be a real number, got True"),
     ], ids=["layer-kind", "layer-geometry", "conv-out-channels", "pool-out-channels", "pool-pad",
             "relu-kernel", "relu-stride", "relu-pad", "module-filters", "no-modules",
             "pooling", "module-tap", "bank-weight", "bank-init-length", "float-bank-classes",
@@ -912,7 +929,8 @@ class TestSpecValidation:
             "float-filters", "float-classes", "bool-classes", "float-input-size",
             "no-in-channels", "float-in-channels", "float-seed", "negative-seed", "bool-seed",
             "ndarray-bank-weight", "nan-bank-weight", "ndarray-bank-init", "relu-first",
-            "relu-after-pool", "relu-after-relu", "tap-before-relu"])
-    def test_bad_spec_rejected(self, make, message):
-        with pytest.raises(ValueError, match=message):
+            "relu-after-pool", "relu-after-relu", "tap-before-relu", "not-a-layer",
+            "string-fusion-g", "none-fusion-p", "bool-fusion-side"])
+    def test_bad_spec_rejected(self, error, make, message):
+        with pytest.raises(error, match=message):
             make()

@@ -804,6 +804,14 @@ class TestGradTape:
         with pytest.raises(ValueError, match="seed gradient has NaN or inf values"):
             tape.backward(y, seed=np.array([1.0, bad, 1.0]))
 
+    def test_complex_seed_rejected(self):
+        # The seed cast kept the real part and only warned.
+        x = Tensor(np.ones(3), requires_grad=True)
+        with GradTape() as tape:
+            y = ops.scale(x, 2.0)
+        with pytest.raises(ValueError, match="got dtype complex128"):
+            tape.backward(y, seed=[1 + 5j, 1, 1])
+
     def test_wrong_gradient_shape_from_a_record_raises(self):
         x = Tensor(np.ones(3), requires_grad=True)
         y = Tensor(np.ones(3))
@@ -866,9 +874,12 @@ class TestTensorInvariants:
 
     @pytest.mark.parametrize("dtype", [None, "f32"])
     def test_complex_data_rejected(self, dtype):
-        # A cast kept the real part and only warned.
-        with pytest.raises(ValueError, match="tensor data must be real, got dtype complex128"):
-            Tensor(np.array([1.0 + 2.0j, 3.0]), dtype=dtype)
+        # A cast kept a complex value's real part and only warned, and turned None into NaN.
+        for data, name in ((np.array([1.0 + 2.0j, 3.0]), "complex128"), ([1.0, None], "object"),
+                           (np.array([None]), "object"), (["1.0", "2.0"], "<U3")):
+            with pytest.raises(ValueError,
+                               match=f"tensor data must be bool, int or float, got dtype {name}"):
+                Tensor(data, dtype=dtype)
 
     def test_array_no_copy_with_dtype_change_rejected(self):
         t = Tensor(np.zeros(3))
