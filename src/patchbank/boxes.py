@@ -2,10 +2,9 @@
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
-from .checks import check_int
+from .checks import check_int, check_real
 
 
 @dataclass(frozen=True)
@@ -19,9 +18,8 @@ class Box:
 
     def __post_init__(self):
         # NaN compares false both ways, so the degenerate check alone passes it.
-        if not (math.isfinite(self.top) and math.isfinite(self.left)
-                and math.isfinite(self.bottom) and math.isfinite(self.right)):
-            raise ValueError(f"box coordinates must be finite: {self}")
+        for name in ("top", "left", "bottom", "right"):
+            check_real(name, getattr(self, name))
         if self.bottom < self.top or self.right < self.left:
             raise ValueError(f"degenerate box: {self}")
 
@@ -65,13 +63,17 @@ def nms_select(candidates, iou_threshold: float, max_keep: int):
     (image_id, location) so the selection is order-independent.  Every
     energy must be finite: a NaN has no place in that order.
     """
+    check_real("iou_threshold", iou_threshold)
     if not 0.0 <= iou_threshold <= 1.0:
         raise ValueError(f"iou_threshold must be in [0, 1], got {iou_threshold}")
     check_int("max_keep", max_keep, 1)
+    candidates = list(candidates)
+    for cand in candidates:
+        try:
+            check_real("candidate energy", cand.energy)
+        except ValueError as e:
+            raise ValueError(f"{e}: {cand}") from None
     ordered = sorted(candidates, key=lambda c: (-c.energy, c.image_id, c.location))
-    for cand in ordered:
-        if not math.isfinite(cand.energy):
-            raise ValueError(f"candidate energy must be finite: {cand}")
     kept = []
     kept_boxes = []    # (top, left, bottom, right, area) of each kept box
     for cand in ordered:

@@ -18,7 +18,9 @@ def check_real(name: str, value, least: float | None = None) -> None:
     """Reject a ``value`` that is not a finite real number, or one below ``least``
     if given, naming ``name``.  A bool would pass for 0.0 or 1.0, and a string or
     None would fail later with an error that names no field."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+    # An exact float skips the ABC check, which takes about 0.8 us; Box runs four.
+    if type(value) is not float and (isinstance(value, bool)
+                                     or not isinstance(value, numbers.Real)):
         raise ValueError(f"{name} must be a real number, got {value!r}")
     if not math.isfinite(value):
         raise ValueError(f"{name} must be finite, got {value}")

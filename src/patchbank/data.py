@@ -252,40 +252,33 @@ def generate(spec: SynthSpec) -> tuple[list[Sample], list[Sample]]:
 # ----------------------------------------------------------------- folders
 
 
-def save_dataset(out_dir, train: list[Sample], test: list[Sample]) -> list[Path]:
-    """Write PPM images, `path,label` CSV manifests, and a truth-box CSV."""
+_MANIFEST_HEADER = ["path", "label", "top", "left", "bottom", "right"]
+
+
+def save_dataset(out_dir, train: list[Sample], test: list[Sample]) -> None:
+    """Write PPM images and one `path,label,top,left,bottom,right` CSV manifest per
+    split; a sample without a truth box leaves its four box fields empty."""
     out_dir = Path(out_dir)
-    written = []
-    boxes_path = out_dir / "truth_boxes.csv"
-    out_dir.mkdir(parents=True, exist_ok=True)
-    with open(boxes_path, "w", newline="") as bf:
-        boxes = csv.writer(bf, lineterminator="\n")
-        boxes.writerow(["path", "label", "top", "left", "bottom", "right"])
-        for split, samples in (("train", train), ("test", test)):
-            split_dir = out_dir / split
-            split_dir.mkdir(parents=True, exist_ok=True)
-            manifest = out_dir / f"{split}.csv"
-            with open(manifest, "w", newline="") as mf:
-                writer = csv.writer(mf, lineterminator="\n")
-                writer.writerow(["path", "label"])
-                for i, sample in enumerate(samples):
-                    rel = f"{split}/{i:05d}.ppm"
-                    save_ppm(out_dir / rel, sample.image)
-                    writer.writerow([rel, sample.label])
-                    written.append(out_dir / rel)
-                    if sample.truth_box is not None:
-                        b = sample.truth_box
-                        boxes.writerow([rel, sample.label, b.top, b.left, b.bottom, b.right])
-            written.append(manifest)
-    written.append(boxes_path)
-    return written
+    for split, samples in (("train", train), ("test", test)):
+        (out_dir / split).mkdir(parents=True, exist_ok=True)
+        with open(out_dir / f"{split}.csv", "w", newline="") as mf:
+            writer = csv.writer(mf, lineterminator="\n")
+            writer.writerow(_MANIFEST_HEADER)
+            for i, sample in enumerate(samples):
+                rel = f"{split}/{i:05d}.ppm"
+                save_ppm(out_dir / rel, sample.image)
+                b = sample.truth_box
+                box = ["", "", "", ""] if b is None else [b.top, b.left, b.bottom, b.right]
+                writer.writerow([rel, sample.label, *box])
 
 
 def load_folder(manifest_path, image_size: int) -> list[Sample]:
     """Load a `path,label` CSV manifest of P6 PPM images.
 
     Images are nearest-neighbor resized to ``image_size`` and scaled to
-    [0, 1].  Paths are taken relative to the manifest location.
+    [0, 1].  Paths are taken relative to the manifest location.  Under the
+    `path,label,top,left,bottom,right` header that ``save_dataset`` writes,
+    each row's box is its ``truth_box``, None where the four fields are empty.
     """
     check_int("image_size", image_size, 1)
     manifest_path = Path(manifest_path)
@@ -294,7 +287,7 @@ def load_folder(manifest_path, image_size: int) -> list[Sample]:
     with open(manifest_path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
-        if header is not None and header[:2] != ["path", "label"]:
+        if header is not None and header not in (_MANIFEST_HEADER[:2], _MANIFEST_HEADER):
             raise ValueError(f"{manifest_path}: expected 'path,label' header, got {header}")
         for row in reader:
             if not row:
@@ -309,8 +302,14 @@ def load_folder(manifest_path, image_size: int) -> list[Sample]:
                 raise ValueError(f"{where}: label {row[1]!r} is not an integer") from None
             if label < 0:
                 raise ValueError(f"{where}: negative label {label}")
+            box = None
+            if len(header) > 2 and any(row[2:]):
+                try:
+                    box = Box(*map(float, row[2:]))
+                except (TypeError, ValueError) as e:  # TypeError: not four fields
+                    raise ValueError(f"{where}: box {row[2:]}: {e}") from None
             img = load_ppm(root / path)
-            samples.append(Sample(image=_resize_nearest(img, image_size), label=label))
+            samples.append(Sample(_resize_nearest(img, image_size), label, box))
     return samples
 
 

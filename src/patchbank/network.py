@@ -14,6 +14,7 @@ sum of logits.
 
 from __future__ import annotations
 
+import math
 from collections.abc import Mapping
 from dataclasses import dataclass
 from types import MappingProxyType
@@ -188,9 +189,8 @@ class ModelSpec:
             check_int(name, getattr(self, name), least)
         if self.pooling not in ("gmp", "gap"):
             raise ValueError(f"pooling must be 'gmp' or 'gap', got {self.pooling!r}")
-        for name in ("fusion_g", "fusion_p", "fusion_side"):
-            check_real(name, getattr(self, name))
-        _check_fusion_weights(np.array([self.fusion_g, self.fusion_p, self.fusion_side]))
+        _check_fusion_weights([self.fusion_g, self.fusion_p, self.fusion_side],
+                              ("fusion_g", "fusion_p", "fusion_side"))
         for m in self.modules:
             if m.tap not in self.backbone.taps:
                 raise ValueError(f"module tap {m.tap!r} is not a backbone tap")
@@ -239,80 +239,81 @@ class StreamOutputs:
     peak_argmax: list[np.ndarray]  # (..., k*M, 2) int (h, w) of each conv6 map's peak
 
 
+def param_shapes(spec: ModelSpec) -> dict[str, tuple[int, ...]]:
+    """Every parameter's name and shape, in the order ``build_model`` draws them."""
+    shapes = feature_shapes(spec.backbone, spec.in_channels, spec.input_size)
+    m = spec.classes
+    out: dict[str, tuple[int, ...]] = {}
+    for i, layer in enumerate(spec.backbone.layers):
+        if layer.kind == "conv":
+            c_in = shapes[i - 1][0] if i else spec.in_channels
+            out[f"backbone.{i}.weight"] = (layer.out_channels, c_in, layer.kernel, layer.kernel)
+    for mi, mod in enumerate(spec.modules):
+        km = m * mod.filters_per_class
+        out[f"module{mi}.conv6.weight"] = (km, shapes[spec.backbone.taps[mod.tap]][0], 1, 1)
+        out[f"module{mi}.phead.weight"] = (m, km)
+        out[f"module{mi}.phead.bias"] = (m,)
+    out["ghead.weight"] = (m, shapes[-1][0])
+    out["ghead.bias"] = (m,)
+    return out
+
+
 class Model:
-    """A built network: spec plus named parameter tensors."""
+    """A built network: spec plus named params in ``param_shapes`` order, each a finite
+    Tensor of its shape and of ``dtype``, the one dtype they share; else ``ValueError``."""
 
-    def __init__(self, spec: ModelSpec, params: dict[str, Tensor]):
+    def __init__(self, spec: ModelSpec, params: Mapping[str, Tensor]):
+        shapes = param_shapes(spec)
+        if params.keys() != shapes.keys():
+            name = min(params.keys() ^ shapes.keys())
+            raise ValueError(f"{'missing' if name in shapes else 'unexpected'} param {name!r}")
         self.spec = spec
-        self.params = params
-
-    @property
-    def dtype(self):
-        return next(iter(self.params.values())).dtype
-
-
-def _uniform(rng: np.random.Generator, shape, fan_in: int, dtype) -> Tensor:
-    bound = 1.0 / np.sqrt(fan_in)
-    return Tensor(rng.uniform(-bound, bound, size=shape).astype(dtype), requires_grad=True)
+        self.params = {name: params[name] for name in shapes}
+        self.dtype = getattr(next(iter(self.params.values())), "dtype", None)
+        for name, p in self.params.items():
+            if not isinstance(p, Tensor) or p.shape != shapes[name] or p.dtype != self.dtype:
+                got = repr(p) if isinstance(p, Tensor) else type(p).__name__
+                raise ValueError(f"param {name!r} does not match shape {shapes[name]} and dtype "
+                                 f"{self.dtype}: got {got}")
+            if not np.isfinite(p.data).all():
+                raise ValueError(f"param {name!r} has NaN or inf values")
 
 
 def build_model(spec: ModelSpec, bank_init=None, seed: int = 0, dtype="f64") -> Model:
     """Materialize parameters for a spec.
 
-    Unspecified weights are drawn from a symmetric uniform law scaled by
-    fan-in.  ``bank_init`` optionally provides one FilterBank per module;
-    its weights are copied into conv6 bit-exactly.  The random stream is
-    consumed identically whether or not banks are provided, so two builds
-    with the same seed share every other parameter.
+    Each ``param_shapes`` weight in turn is drawn from a uniform law on
+    +-1/sqrt(fan-in), fan-in ``prod(shape[1:])``; biases start at zero.
+    ``bank_init`` optionally holds one FilterBank (or None) per module, copied
+    into that module's conv6 bit-exactly.  The random stream is consumed the
+    same either way, so two builds with one seed share every other param.
     """
     np_dtype = resolve_dtype(dtype)
     check_int("seed", seed, 0)
     if bank_init is not None and len(bank_init) != len(spec.modules):
-        raise ValueError(
-            f"bank_init must have one entry per module ({len(spec.modules)}), got {len(bank_init)}"
-        )
+        raise ValueError(f"bank_init must have one entry per module ({len(spec.modules)}), "
+                         f"got {len(bank_init)}")
     rng = np.random.default_rng(np.random.SeedSequence(entropy=seed))
     params: dict[str, Tensor] = {}
-    shapes = feature_shapes(spec.backbone, spec.in_channels, spec.input_size)
-    m = spec.classes
-
-    for i, layer in enumerate(spec.backbone.layers):
-        if layer.kind == "conv":
-            c_in = shapes[i - 1][0] if i else spec.in_channels
-            shape = (layer.out_channels, c_in, layer.kernel, layer.kernel)
-            params[f"backbone.{i}.weight"] = _uniform(
-                rng, shape, c_in * layer.kernel * layer.kernel, np_dtype
-            )
-
-    for mi, mod in enumerate(spec.modules):
-        c_tap = shapes[spec.backbone.taps[mod.tap]][0]
-        km = m * mod.filters_per_class
-        w6 = _uniform(rng, (km, c_tap, 1, 1), c_tap, np_dtype)
-        if bank_init is not None and bank_init[mi] is not None:
-            bank = bank_init[mi]
-            if not isinstance(bank, FilterBank):
-                raise ValueError(f"module {mi} bank_init entry must be a FilterBank or None, "
-                                 f"got {type(bank).__name__}")
-            if (bank.classes, bank.filters_per_class) != (m, mod.filters_per_class):
-                raise ValueError(
-                    f"module {mi} bank has {bank.classes} classes x {bank.filters_per_class} "
-                    f"filters, module needs {m} x {mod.filters_per_class}"
-                )
-            if bank.weight.shape != (km, c_tap, 1, 1):
-                raise ValueError(
-                    f"module {mi} bank shape {bank.weight.shape} does not match "
-                    f"required ({km}, {c_tap}, 1, 1)"
-                )
-            if not np.isfinite(bank.weight.data).all():
-                raise ValueError(f"module {mi} bank weight has NaN or inf values")
-            w6 = Tensor(bank.weight.data.astype(np_dtype, copy=True), requires_grad=True)
-        params[f"module{mi}.conv6.weight"] = w6
-        params[f"module{mi}.phead.weight"] = _uniform(rng, (m, km), km, np_dtype)
-        params[f"module{mi}.phead.bias"] = Tensor(np.zeros(m, dtype=np_dtype), requires_grad=True)
-
-    c_final = shapes[-1][0]
-    params["ghead.weight"] = _uniform(rng, (m, c_final), c_final, np_dtype)
-    params["ghead.bias"] = Tensor(np.zeros(m, dtype=np_dtype), requires_grad=True)
+    for name, shape in param_shapes(spec).items():
+        if name.endswith(".bias"):
+            data = np.zeros(shape, dtype=np_dtype)
+        else:
+            bound = 1.0 / np.sqrt(math.prod(shape[1:]))
+            data = rng.uniform(-bound, bound, size=shape).astype(np_dtype)
+        params[name] = Tensor(data, requires_grad=True)
+    for mi, (mod, bank) in enumerate(zip(spec.modules, bank_init or ())):
+        if bank is None:
+            continue
+        if not isinstance(bank, FilterBank):
+            raise ValueError(f"module {mi} bank_init entry must be a FilterBank or None, "
+                             f"got {type(bank).__name__}")
+        if (bank.classes, bank.filters_per_class) != (spec.classes, mod.filters_per_class):
+            raise ValueError(f"module {mi} bank has {bank.classes} classes x "
+                             f"{bank.filters_per_class} filters, module needs {spec.classes} x "
+                             f"{mod.filters_per_class}")
+        params[f"module{mi}.conv6.weight"] = Tensor(bank.weight.data.astype(np_dtype),
+                                                    requires_grad=True)
     return Model(spec, params)
 
 
@@ -350,10 +351,8 @@ def _run_backbone(model: Model, x: Tensor, upto: int | None = None,
     if x.ndim == 4 and len(x.data) > BACKBONE_CHUNK and active_tape() is None:
         n = len(x.data)
         shapes = feature_shapes(model.spec.backbone, model.spec.in_channels, model.spec.input_size)
-        dtype = np.result_type(x.data, *(model.params[f"backbone.{i}.weight"].data
-                                         for i in range(last + 1) if layers[i].kind == "conv"))
-        out = np.empty((n, *shapes[last]), dtype)
-        taps = {i: np.empty((n, *shapes[i]), dtype) for i in keep or () if i <= last}
+        out = np.empty((n, *shapes[last]), x.dtype)
+        taps = {i: np.empty((n, *shapes[i]), x.dtype) for i in keep or () if i <= last}
 
         def run_chunk(c):
             part = slice(c * BACKBONE_CHUNK, (c + 1) * BACKBONE_CHUNK)
@@ -445,20 +444,23 @@ def logit_streams(outputs: StreamOutputs) -> list[Tensor]:
     return [outputs.g_logits] + list(outputs.p_logits) + list(outputs.side_logits)
 
 
-def _check_fusion_weights(w: np.ndarray) -> None:
-    if not np.isfinite(w).all():
-        raise ValueError(f"fusion weights must be finite, got {w}")
+def _check_fusion_weights(weights, names) -> np.ndarray:
+    """``weights`` as float64 once each passes ``check_real`` under its name and
+    the sign rule holds."""
+    for name, wi in zip(names, weights):
+        check_real(name, wi)
+    w = np.asarray(weights, dtype=np.float64)
     if w.min() < 0 or w.max() <= 0:
         raise ValueError("fusion weights must be nonnegative with at least one positive")
+    return w
 
 
 def fuse_predictions(outputs: StreamOutputs, weights) -> tuple[Tensor, np.ndarray | int]:
     """Weighted sum of stream logits and its argmax class (ties -> smallest index)."""
     streams = logit_streams(outputs)
-    w = np.asarray(weights, dtype=np.float64)
-    if w.shape != (len(streams),):
-        raise ValueError(f"expected {len(streams)} fusion weights, got shape {w.shape}")
-    _check_fusion_weights(w)
+    if np.shape(weights) != (len(streams),):
+        raise ValueError(f"expected {len(streams)} fusion weights, got shape {np.shape(weights)}")
+    w = _check_fusion_weights(weights, [f"fusion weight {i}" for i in range(len(streams))])
     fused = sum(wi * s.data for wi, s in zip(w, streams))
     cls = fused.argmax(axis=-1)
     return Tensor(fused), (int(cls) if fused.ndim == 1 else cls)

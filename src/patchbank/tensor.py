@@ -31,8 +31,8 @@ def resolve_dtype(dtype) -> np.dtype:
 class Tensor:
     """Dense N-dimensional real array, the value carrier for every kernel.
 
-    All extents must be >= 1 (rank-0 scalars are allowed).  ``data`` is
-    always a C-contiguous float32 or float64 ndarray.
+    All extents must be >= 1 (rank-0 scalars are allowed).  ``data`` is always
+    a C-contiguous native float32 or float64 ndarray: f4/f8 keep their width.
     """
 
     __slots__ = ("data", "requires_grad")
@@ -45,7 +45,8 @@ class Tensor:
         if dtype is not None:
             arr = arr.astype(resolve_dtype(dtype), copy=False)
         elif arr.dtype != np.float32 and arr.dtype != np.float64:
-            arr = arr.astype(DEFAULT_DTYPE)
+            native = arr.dtype.newbyteorder("=")
+            arr = arr.astype(native if native in (np.float32, np.float64) else DEFAULT_DTYPE)
         if arr.size == 0:
             raise ValueError(f"tensor extents must all be >= 1, got shape {arr.shape}")
         # ascontiguousarray would promote rank-0 scalars to rank 1.

@@ -1,55 +1,48 @@
-"""Bit-exact tensor file format.
-
-Layout: magic bytes ``DFLT``, u8 version=1, u8 dtype (0=f32, 1=f64),
-u8 ndim, then ndim little-endian u32 extents, then the row-major payload
-in little-endian IEEE-754.
+"""Tensor files: a name -> tensor mapping as one NumPy ``.npz`` archive of float32 or
+float64 ``.npy`` members, which round-trips bit-exactly.  Each member's zip CRC-32
+rejects a flipped byte in it; a flipped byte in the archive's end record can hide
+whole members instead, so a reader checks the names it needs, as ``network.Model`` does.
 """
 
 from __future__ import annotations
 
-import struct
-from pathlib import Path
+import zipfile
 
 import numpy as np
 
 from .tensor import Tensor
 
-MAGIC = b"DFLT"
-VERSION = 1
-_DTYPE_CODES = {np.dtype(np.float32): 0, np.dtype(np.float64): 1}
-_CODE_DTYPES = {0: np.dtype("<f4"), 1: np.dtype("<f8")}
+
+def save_tensors(path, mapping) -> None:
+    """Write ``mapping``, name -> Tensor or float array, to ``path`` as one npz file."""
+    arrays = {}
+    for name, value in mapping.items():
+        arr = np.asarray(value)  # a Tensor's __array__ returns its data uncopied
+        if arr.size == 0 or arr.dtype != np.float32 and arr.dtype != np.float64:
+            raise ValueError(f"{path}: tensor {name!r} must be a non-empty float32 or float64 "
+                             f"array, got {arr.dtype} of shape {arr.shape}")
+        arrays[name] = arr
+    with open(path, "wb") as fh:  # a path np.savez gets itself would gain a ".npz" suffix
+        np.savez(fh, **arrays)
 
 
-def save_tensor(path, tensor) -> None:
-    """Write a tensor (or array) to ``path`` in DFLT format."""
-    arr = tensor.data if isinstance(tensor, Tensor) else np.asarray(tensor)
-    if arr.dtype not in _DTYPE_CODES:
-        raise ValueError(f"DFLT stores float32/float64 only, got {arr.dtype}")
-    # NumPy caps ndim at 64, so it always fits the u8 field.
-    header = MAGIC + struct.pack("<BBB", VERSION, _DTYPE_CODES[arr.dtype], arr.ndim)
-    header += struct.pack(f"<{arr.ndim}I", *arr.shape)
-    payload = np.ascontiguousarray(arr).astype(arr.dtype.newbyteorder("<"), copy=False)
-    Path(path).write_bytes(header + payload.tobytes())
-
-
-def load_tensor(path) -> Tensor:
-    """Read a DFLT file back into a Tensor, bit-exactly."""
-    raw = Path(path).read_bytes()
-    if len(raw) < 7 or raw[:4] != MAGIC:
-        raise ValueError(f"{path}: not a DFLT tensor file (bad magic)")
-    version, dtype_code, ndim = struct.unpack("<BBB", raw[4:7])
-    if version != VERSION:
-        raise ValueError(f"{path}: unsupported DFLT version {version}")
-    if dtype_code not in _CODE_DTYPES:
-        raise ValueError(f"{path}: unknown dtype code {dtype_code}")
-    offset = 7 + 4 * ndim
-    if len(raw) < offset:
-        raise ValueError(f"{path}: truncated DFLT header")
-    shape = struct.unpack(f"<{ndim}I", raw[7:offset]) if ndim else ()
-    dtype = _CODE_DTYPES[dtype_code]
-    count = int(np.prod(shape)) if ndim else 1
-    expected = offset + count * dtype.itemsize
-    if len(raw) != expected:
-        raise ValueError(f"{path}: payload length {len(raw) - offset} != expected {count * dtype.itemsize}")
-    data = np.frombuffer(raw, dtype=dtype, count=count, offset=offset).reshape(shape)
-    return Tensor(data.astype(dtype.newbyteorder("="), copy=True))
+def load_tensors(path) -> dict[str, Tensor]:
+    """Read a ``save_tensors`` file back into name -> Tensor, bit-exactly, never unpickling.
+    A truncated or corrupt file, a pickle, a plain ``.npy`` or a member that is not a
+    float32 or float64 Tensor raises ``ValueError`` naming ``path``."""
+    with open(path, "rb") as fh:
+        try:
+            archive = np.load(fh, allow_pickle=False)
+            if not isinstance(archive, np.lib.npyio.NpzFile):
+                raise ValueError("not an npz archive")
+            with archive:
+                arrays = {name: archive[name] for name in archive.files}
+            for name, arr in arrays.items():
+                if not (isinstance(arr, np.ndarray) and arr.dtype.kind == "f"
+                        and arr.dtype.itemsize in (4, 8)):
+                    raise ValueError(f"member {name!r} is not float32 or float64, got "
+                                     f"{getattr(arr, 'dtype', type(arr).__name__)}")
+            return {name: Tensor(arr) for name, arr in arrays.items()}
+        # A corrupt zip can also raise EOFError or RuntimeError (NotImplementedError).
+        except (OSError, EOFError, RuntimeError, ValueError, zipfile.BadZipFile) as e:
+            raise ValueError(f"{path}: {e}") from e

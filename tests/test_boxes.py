@@ -147,16 +147,23 @@ def test_nms_bad_arguments_rejected():
         nms_select([], 1.5, 1)
     with pytest.raises(ValueError, match="max_keep"):
         nms_select([], 0.5, 0)
+    # True passed as 1.0, and "0.3" raised a bare TypeError from the range check.
+    with pytest.raises(ValueError, match="iou_threshold must be a real number, got True"):
+        nms_select([], True, 5)
+    with pytest.raises(ValueError, match="iou_threshold must be a real number, got '0.3'"):
+        nms_select([], "0.3", 5)
 
 
-@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf"), True, "2"])
 def test_nms_non_finite_energy_rejected(bad):
     # A NaN has no place in the energy order: unchecked, these three overlapping
-    # candidates would keep (0, 0), (0, 1) or (0, 2) by the order given.
+    # candidates would keep (0, 0), (0, 1) or (0, 2) by the order given.  True
+    # passed as 1.0, and "2" raised a bare TypeError from the sort.
     cands = [Candidate(e, 0, (0, i), SQUARE) for i, e in enumerate([1.0, bad, 2.0])]
+    kind = "finite" if isinstance(bad, float) else "a real number"
     for order in itertools.permutations(cands):
-        with pytest.raises(ValueError,
-                           match=r"candidate energy must be finite: .*location=\(0, 1\)"):
+        with pytest.raises(ValueError, match=rf"candidate energy must be {kind}, got {bad!r}: "
+                                             rf".*location=\(0, 1\)"):
             nms_select(list(order), 0.3, 4)
 
 
@@ -183,10 +190,13 @@ def test_degenerate_box_rejected(corners):
 
 
 @pytest.mark.parametrize("corner", range(4))
-@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf"), True, "0"])
 def test_non_finite_box_rejected(corner, bad):
-    # Box(nan, 0, 1, 1) passed the degenerate check and had IoU 0 with itself.
+    # Box(nan, 0, 1, 1) passed the degenerate check and had IoU 0 with itself;
+    # Box(True, 0, 1, 1) passed as 1.0, and Box("0", 0, 1, 1) raised a bare TypeError.
     corners = [0.0, 0.0, 1.0, 1.0]
     corners[corner] = bad
-    with pytest.raises(ValueError, match="box coordinates must be finite"):
+    name = ("top", "left", "bottom", "right")[corner]
+    kind = "finite" if isinstance(bad, float) else "a real number"
+    with pytest.raises(ValueError, match=f"{name} must be {kind}, got {bad!r}"):
         Box(*corners)

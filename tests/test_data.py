@@ -206,13 +206,24 @@ class TestFolders:
         spec = small_spec(seed=8)
         train, test = generate(spec)
         save_dataset(tmp_path, train, test)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["test", "test.csv", "train",
+                                                              "train.csv"]
         back = load_folder(tmp_path / "train.csv", spec.image_size)
         assert len(back) == len(train)
         for orig, loaded in zip(train, back):
             assert loaded.label == orig.label
+            assert orig.truth_box is not None and loaded.truth_box == orig.truth_box
             # PPM quantizes to u8; round trip is exact at that resolution.
             np.testing.assert_allclose(loaded.image, np.rint(orig.image * 255) / 255,
                                        atol=1e-12)
+
+    def test_sample_without_a_box_round_trips(self, tmp_path):
+        train, _ = generate(small_spec(seed=8))
+        train[1].truth_box = None
+        save_dataset(tmp_path, train[:2], [])
+        back = load_folder(tmp_path / "train.csv", 16)
+        assert [s.truth_box for s in back] == [train[0].truth_box, None]
+        assert (tmp_path / "test.csv").read_text() == "path,label,top,left,bottom,right\n"
 
     def test_empty_manifest(self, tmp_path):
         (tmp_path / "m.csv").write_text("path,label\n")
@@ -235,6 +246,7 @@ class TestFolders:
         save_ppm(tmp_path / "i.ppm", img)
         (tmp_path / "m.csv").write_text("path,label\ni.ppm,0\n")
         loaded = load_folder(tmp_path / "m.csv", 4)[0]
+        assert loaded.truth_box is None  # a two-column manifest holds no boxes
         assert loaded.image.shape == (3, 4, 4)
         np.testing.assert_array_equal(loaded.image[:, :2, :2], np.ones((3, 2, 2)))
 
@@ -258,6 +270,9 @@ class TestFolders:
         # The message names the manifest, the row and the path.
         with pytest.raises(ValueError, match=rf"m\.csv, row 3, path 'i\.ppm': {message}"):
             load_folder(tmp_path / "m.csv", 16)
+
+
+BOXED = "path,label,top,left,bottom,right\n"
 
 
 def _manifest(directory, text):
@@ -299,6 +314,21 @@ def _manifest(directory, text):
     (lambda d: small_spec(tint_strength="0.2"), "tint_strength must be a real number, got '0.2'"),
     (lambda d: load_folder(_manifest(d, "file,class\ni.ppm,0\n"), 16),
      r"m\.csv: expected 'path,label' header, got \['file', 'class'\]"),
+    (lambda d: load_folder(_manifest(d, "path,label,top\ni.ppm,0,1\n"), 16),
+     r"m\.csv: expected 'path,label' header, got \['path', 'label', 'top'\]"),
+    (lambda d: load_folder(_manifest(d, BOXED + "i.ppm,0,1,2,3\n"), 16),
+     r"m\.csv, row 2, path 'i\.ppm': box \['1', '2', '3'\]: .*missing 1 required positional "
+     r"argument: 'right'"),
+    (lambda d: load_folder(_manifest(d, BOXED + "i.ppm,0,1,2,3,4,5\n"), 16),
+     r"row 2, path 'i\.ppm': box \['1', '2', '3', '4', '5'\]: .*takes 5 positional arguments"),
+    (lambda d: load_folder(_manifest(d, BOXED + "i.ppm,0,a,0,1,1\n"), 16),
+     r"row 2, path 'i\.ppm': box \['a', '0', '1', '1'\]: could not convert string to float"),
+    (lambda d: load_folder(_manifest(d, BOXED + "i.ppm,0,nan,0,1,1\n"), 16),
+     r"row 2, path 'i\.ppm': box \['nan', '0', '1', '1'\]: top must be finite, got nan"),
+    (lambda d: load_folder(_manifest(d, BOXED + "i.ppm,0,2,0,1,1\n"), 16),
+     r"row 2, path 'i\.ppm': box \['2', '0', '1', '1'\]: degenerate box"),
+    (lambda d: load_folder(_manifest(d, BOXED + "i.ppm,0,0,,1,1\n"), 16),
+     r"row 2, path 'i\.ppm': box \['0', '', '1', '1'\]: could not convert string to float"),
     (lambda d: load_folder(_manifest(d, "path,label\n"), 0), "image_size must be >= 1, got 0"),
     (lambda d: load_folder(_manifest(d, "path,label\n"), -3), "image_size must be >= 1, got -3"),
     (lambda d: load_folder(_manifest(d, "path,label\n"), 16.5),
@@ -309,7 +339,9 @@ def _manifest(directory, text):
         "inf-tint", "inf-contrast", "nan-jitter", "float-classes", "bool-classes",
         "float-train-count", "float-test-count", "float-image-size", "float-patch-size",
         "float-distractors", "bool-seed", "negative-seed", "none-noise", "bool-noise",
-        "string-tint", "manifest-header", "image-size-0",
+        "string-tint", "manifest-header", "manifest-box-header", "box-three-fields",
+        "box-five-fields", "box-not-a-number", "box-nan", "box-degenerate", "box-empty-field",
+        "image-size-0",
         "image-size-negative", "image-size-float"])
 def test_bad_input_rejected(tmp_path, call, message):
     with pytest.raises(ValueError, match=message):

@@ -1,6 +1,9 @@
-"""DFLT tensor files and PPM/PGM image round trips."""
+"""Tensor files (npz archives) and PPM/PGM image round trips."""
 
+import io
+import pickle
 import struct
+import zipfile
 
 import numpy as np
 import pytest
@@ -10,68 +13,160 @@ from hypothesis import strategies as st
 from patchbank import imageio
 from patchbank.imageio import load_pgm, load_ppm, save_pgm, save_ppm
 from patchbank.tensor import Tensor
-from patchbank.tensorio import load_tensor, save_tensor
+from patchbank.tensorio import load_tensors, save_tensors
+
+
+def _npy(arr) -> bytes:
+    """``arr`` as the bytes of one ``.npy`` file."""
+    buf = io.BytesIO()
+    np.lib.format.write_array(buf, np.asarray(arr))
+    return buf.getvalue()
+
+
+def _npz(**members) -> bytes:
+    """A zip archive of raw ``<name>.npy`` members, each with a valid CRC-32."""
+    buf = io.BytesIO()
+    with zipfile.ZipFile(buf, "w") as archive:
+        for name, raw in members.items():
+            archive.writestr(f"{name}.npy", raw)
+    return buf.getvalue()
+
+
+def _object_npz() -> bytes:
+    buf = io.BytesIO()
+    np.savez(buf, w=np.array([None, 1.0], dtype=object))
+    return buf.getvalue()
+
+
+ONES = _npy(np.ones(3))
 
 
 class TestDFLT:
+    """``tensorio`` files: one npz archive holding a name -> tensor mapping."""
+
     def test_known_bytes_layout(self, tmp_path):
-        path = tmp_path / "t.dflt"
-        save_tensor(path, Tensor(np.array([[1.5]], dtype=np.float64)))
-        expected = (b"DFLT" + bytes([1, 1, 2]) + struct.pack("<II", 1, 1)
-                    + struct.pack("<d", 1.5))
-        assert path.read_bytes() == expected
+        # A plain npz: one stored .npy member per name, readable without tensorio.
+        path = tmp_path / "t.npz"
+        save_tensors(path, {"w": Tensor(np.array([[1.5]])), "b": np.float32(-2.0)})
+        with zipfile.ZipFile(path) as archive:
+            assert archive.namelist() == ["w.npy", "b.npy"]
+            assert archive.read("w.npy") == _npy(np.array([[1.5]]))
+            assert archive.read("b.npy") == _npy(np.float32(-2.0))
+        with np.load(path, allow_pickle=False) as plain:
+            assert plain["w"].tolist() == [[1.5]] and plain["b"].dtype == np.float32
 
     def test_round_trip_is_bit_identical(self, tmp_path):
         rng = np.random.default_rng(0)
-        arr = rng.standard_normal((2, 3, 4))
-        path = tmp_path / "t.dflt"
-        save_tensor(path, arr)
-        back = load_tensor(path)
-        assert back.data.tobytes() == arr.tobytes()
-        assert back.shape == (2, 3, 4)
+        arrays = {"a.weight": rng.standard_normal((2, 3, 4)), "bias": rng.standard_normal(5)}
+        path = tmp_path / "t.npz"
+        save_tensors(path, arrays)
+        back = load_tensors(path)
+        assert list(back) == ["a.weight", "bias"]
+        for name, arr in arrays.items():
+            assert isinstance(back[name], Tensor) and back[name].shape == arr.shape
+            assert back[name].data.tobytes() == arr.tobytes()
 
     def test_f32_round_trip(self, tmp_path):
         arr = np.random.default_rng(1).standard_normal((5,)).astype(np.float32)
-        path = tmp_path / "t.dflt"
-        save_tensor(path, arr)
-        back = load_tensor(path)
+        path = tmp_path / "t.npz"
+        save_tensors(path, {"x": arr})
+        back = load_tensors(path)["x"]
         assert back.dtype == np.float32
         assert back.data.tobytes() == arr.tobytes()
 
     def test_scalar_round_trip(self, tmp_path):
-        path = tmp_path / "s.dflt"
-        save_tensor(path, Tensor(np.float64(2.25)))
-        back = load_tensor(path)
+        path = tmp_path / "s.npz"
+        save_tensors(path, {"s": Tensor(np.float64(2.25))})
+        back = load_tensors(path)["s"]
         assert back.shape == ()
         assert back.item() == 2.25
 
     def test_malformed_magic_rejected(self, tmp_path):
-        path = tmp_path / "bad.dflt"
+        path = tmp_path / "bad.npz"
         path.write_bytes(b"NOPE" + bytes(16))
-        with pytest.raises(ValueError, match="bad magic"):
-            load_tensor(path)
+        with pytest.raises(ValueError, match=r"bad\.npz: "):
+            load_tensors(path)
 
     def test_truncated_payload_rejected(self, tmp_path):
-        path = tmp_path / "t.dflt"
-        save_tensor(path, np.ones((4, 4)))
-        path.write_bytes(path.read_bytes()[:-8])
-        with pytest.raises(ValueError, match="payload"):
-            load_tensor(path)
+        path = tmp_path / "t.npz"
+        save_tensors(path, {"w": np.ones((4, 4)), "b": np.ones(4, np.float32)})
+        raw = path.read_bytes()
+        for end in range(len(raw)):
+            path.write_bytes(raw[:end])
+            with pytest.raises(ValueError, match=r"t\.npz: "):
+                load_tensors(path)
 
     def test_integer_input_rejected(self, tmp_path):
-        with pytest.raises(ValueError, match="float32/float64"):
-            save_tensor(tmp_path / "t.dflt", np.arange(4))
+        with pytest.raises(ValueError, match=r"t\.npz: tensor 'i' must be a non-empty float32 or "
+                                             r"float64 array, got int64 of shape \(4,\)"):
+            save_tensors(tmp_path / "t.npz", {"w": np.ones(2), "i": np.arange(4)})
+        with pytest.raises(ValueError, match=r"tensor 'e' must be a non-empty .*got float64 of "
+                                             r"shape \(2, 0\)"):
+            save_tensors(tmp_path / "t.npz", {"e": np.ones((2, 0))})
+        assert not (tmp_path / "t.npz").exists()
+        path = tmp_path / "i.npz"
+        path.write_bytes(_npz(w=_npy(np.ones(2)), i=_npy(np.arange(4))))
+        with pytest.raises(ValueError, match=r"i\.npz: member 'i' is not float32 or float64, "
+                                             r"got int64"):
+            load_tensors(path)
 
     @pytest.mark.parametrize("raw,message", [
-        (b"DFLT" + bytes([2, 1, 0]) + bytes(8), "unsupported DFLT version 2"),
-        (b"DFLT" + bytes([1, 7, 0]) + bytes(8), "unknown dtype code 7"),
-        (b"DFLT" + bytes([1, 1, 2]) + bytes(4), "truncated DFLT header"),
-    ], ids=["version", "dtype-code", "header"])
+        (_npz(w=ONES[:6] + bytes([9]) + ONES[7:]), r"format version .*not \(9, 0\)"),
+        (_npz(w=_npy(np.ones(2, np.complex128))),
+         "member 'w' is not float32 or float64, got complex128"),
+        (_npz(w=ONES[:20]), "EOF: reading array header"),
+        (_npz(w=ONES[:-8]), "EOF: reading array data"),
+        (_npz(w=_npy(np.ones(2, np.float16))), "member 'w' is not float32 or float64, got float16"),
+        (_npz(w=_npy(np.zeros((2, 0)))), r"tensor extents must all be >= 1, got shape \(2, 0\)"),
+        (_npz(w=b"not an array"), "member 'w' is not float32 or float64, got bytes"),
+        (_object_npz(), "Object arrays cannot be loaded when allow_pickle=False"),
+        (pickle.dumps({"w": np.ones(3)}), "pickled"),
+        (ONES, "not an npz archive"),
+        (b"", "No data left in file"),
+    ], ids=["version", "dtype-code", "header", "payload", "float16", "empty-member",
+            "not-npy-member", "object-member", "pickle", "npy", "empty-file"])
     def test_malformed_header_rejected(self, tmp_path, raw, message):
-        path = tmp_path / "t.dflt"
+        path = tmp_path / "t.npz"
         path.write_bytes(raw)
-        with pytest.raises(ValueError, match=rf"t\.dflt: {message}"):
-            load_tensor(path)
+        with pytest.raises(ValueError, match=rf"t\.npz: .*{message}"):
+            load_tensors(path)
+
+    def test_flipped_byte_rejected_or_drops_whole_members(self, tmp_path):
+        """The CRC-32 rejects a flip inside any member; a flip in the zip's own
+        records is rejected too or, in the archive's end record, hides whole
+        members, but never changes a loaded value."""
+        arrays = {"w": np.random.default_rng(2).random((3, 3)), "b": np.ones(2, np.float32)}
+        path = tmp_path / "t.npz"
+        save_tensors(path, arrays)
+        raw = path.read_bytes()
+        with zipfile.ZipFile(path) as archive:
+            members = set()
+            for info in archive.infolist():
+                name_len, extra_len = struct.unpack("<HH", raw[info.header_offset + 26:
+                                                               info.header_offset + 30])
+                start = info.header_offset + 30 + name_len + extra_len
+                members.update(range(start, start + info.compress_size))
+        hidden = set()
+        for i in range(len(raw)):
+            path.write_bytes(raw[:i] + bytes([raw[i] ^ 0x01]) + raw[i + 1:])
+            try:
+                back = load_tensors(path)
+            except ValueError as e:
+                assert str(e).startswith(f"{path}: ")
+                continue
+            assert i not in members and set(back) <= set(arrays)
+            assert all(back[k].data.tobytes() == arrays[k].tobytes() for k in back)
+            if set(back) != set(arrays):
+                hidden.add(i)
+        assert len(members) > 200 and 0 < len(hidden) < 10
+
+    def test_byte_swapped_member_loads_at_its_width(self, tmp_path):
+        path = tmp_path / "t.npz"
+        path.write_bytes(_npz(w=_npy(np.array([1.5, -2.0], ">f4")),
+                              d=_npy(np.arange(3, dtype=">f8"))))
+        back = load_tensors(path)
+        assert back["w"].dtype == np.float32 and back["w"].data.tolist() == [1.5, -2.0]
+        assert back["d"].dtype == np.float64 and back["d"].data.tolist() == [0.0, 1.0, 2.0]
 
     @given(st.lists(st.integers(1, 5), min_size=0, max_size=4),
            st.sampled_from([np.float32, np.float64]),
@@ -83,9 +178,9 @@ class TestDFLT:
 
         arr = np.random.default_rng(pyrng.randrange(2**32)).standard_normal(shape).astype(dtype)
         with tempfile.TemporaryDirectory() as tmp:
-            path = Path(tmp) / "t.dflt"
-            save_tensor(path, arr)
-            back = load_tensor(path)
+            path = Path(tmp) / "t.npz"
+            save_tensors(path, {"t": arr})
+            back = load_tensors(path)["t"]
         assert back.shape == tuple(shape)
         assert back.dtype == dtype
         assert back.data.tobytes() == arr.tobytes()

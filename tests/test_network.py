@@ -2,6 +2,7 @@
 
 import copy
 import dataclasses
+import hashlib
 import inspect
 import os
 import pickle
@@ -19,6 +20,7 @@ from patchbank.network import (
     Conv,
     DFLModuleSpec,
     FilterBank,
+    Model,
     ModelSpec,
     Pool,
     ReLU,
@@ -28,6 +30,7 @@ from patchbank.network import (
     forward,
     fuse_predictions,
     logit_streams,
+    param_shapes,
     receptive_field,
     tap_features,
     tinynet_spec,
@@ -35,6 +38,7 @@ from patchbank.network import (
 )
 from patchbank import network, ops
 from patchbank.tensor import GradTape, Tensor
+from patchbank.tensorio import load_tensors, save_tensors
 
 
 # ------------------------------------------------------------ receptive field
@@ -234,6 +238,83 @@ class TestBuildModel:
     def test_filter_bank_class_ownership(self):
         bank = FilterBank(weight=Tensor(np.zeros((12, 8, 1, 1))), classes=4, filters_per_class=3)
         assert [bank.class_of_filter(j) for j in range(12)] == [0, 0, 0, 1, 1, 1, 2, 2, 2, 3, 3, 3]
+
+
+class TestModelParams:
+    def test_param_shapes_are_build_model_params_in_order(self):
+        for spec in (tinynet_spec(2, 1, 16), tinynet_spec(3, 2, 32, "gap"), two_module_spec(),
+                     ModelSpec(vgg16_backbone(), (DFLModuleSpec("conv4_3", 2),), 32, 3)):
+            params = build_model(spec, dtype="f32").params
+            assert list(param_shapes(spec).items()) == [(k, p.shape) for k, p in params.items()]
+
+    def test_build_model_params_pinned(self):
+        """sha256 of every param's name, shape, dtype and bytes over a spec x seed x
+        dtype x bank grid.  A change to the init law changes it on purpose and re-pins it."""
+        rng = np.random.default_rng(21)
+        digest = hashlib.sha256()
+        for spec in (tinynet_spec(2, 1, 16), tinynet_spec(3, 2, 32, "gap"), two_module_spec()):
+            banks = [FilterBank(Tensor(rng.standard_normal((spec.classes * m.filters_per_class,
+                                                            64, 1, 1))),
+                                spec.classes, m.filters_per_class) for m in spec.modules]
+            for seed in (0, 7):
+                for dtype in ("f32", "f64"):
+                    for bank_init in (None, banks):
+                        for name, p in build_model(spec, bank_init, seed, dtype).params.items():
+                            digest.update(f"{name} {p.shape} {p.dtype}".encode())
+                            digest.update(p.data.tobytes())
+        assert digest.hexdigest() == (
+            "84e34cbc45217504f0bc38a724ff5cc2c933b4740c3c94a789a904722207c876")
+
+    @pytest.mark.parametrize("dtype", ["f32", "f64"])
+    @pytest.mark.parametrize("pooling", ["gmp", "gap"])
+    def test_saved_params_give_byte_equal_forward(self, tmp_path, dtype, pooling):
+        model = build_model(tinynet_spec(4, 2, 32, pooling), seed=3, dtype=dtype)
+        save_tensors(tmp_path / "params.npz", model.params)
+        loaded = Model(model.spec, load_tensors(tmp_path / "params.npz"))
+        assert loaded.dtype == model.dtype
+        x = np.random.default_rng(4).random((5, 3, 32, 32))
+        a, b = forward(model, x), forward(loaded, x)
+        for u, v in zip([*logit_streams(a), *a.peak_values, *a.peak_argmax],
+                        [*logit_streams(b), *b.peak_values, *b.peak_argmax]):
+            assert np.asarray(u).dtype == np.asarray(v).dtype
+            assert np.asarray(u).tobytes() == np.asarray(v).tobytes()
+
+    def test_params_kept_in_layout_order(self):
+        model = build_model(tinynet_spec(4, 2, 32))
+        shuffled = dict(reversed(list(model.params.items())))
+        again = Model(model.spec, shuffled)
+        assert list(again.params) == list(param_shapes(model.spec))
+        assert all(again.params[k] is p for k, p in shuffled.items())
+
+    @pytest.mark.parametrize("change,message", [
+        (lambda p: p.pop("ghead.bias"), "missing param 'ghead.bias'"),
+        (lambda p: p.update({"ghead.fc.weight": Tensor(np.ones(2))}),
+         "unexpected param 'ghead.fc.weight'"),
+        (lambda p: p.update({"module0.conv6.weight": Tensor(np.ones((8, 32, 1, 1)))}),
+         r"param 'module0.conv6.weight' does not match shape \(8, 64, 1, 1\) and dtype float64: "
+         r"got Tensor\(shape=\(8, 32, 1, 1\)"),
+        (lambda p: p.update({"ghead.weight": np.ones((4, 64))}),
+         r"param 'ghead.weight' does not match shape \(4, 64\) and dtype float64: got ndarray"),
+        (lambda p: p.update({"ghead.weight": p["ghead.weight"].astype("f32")}),
+         r"param 'ghead.weight' does not match shape \(4, 64\) and dtype float64: "
+         r"got Tensor\(shape=\(4, 64\), dtype=float32"),
+        (lambda p: p["module0.phead.bias"].data.__setitem__(1, np.nan),
+         "param 'module0.phead.bias' has NaN or inf values"),
+        (lambda p: p["backbone.3.weight"].data.__setitem__((0, 0, 0, 0), -np.inf),
+         "param 'backbone.3.weight' has NaN or inf values"),
+    ], ids=["missing", "extra", "mis-shaped", "not-a-tensor", "mixed-dtype", "nan", "inf"])
+    def test_bad_params_rejected(self, change, message):
+        params = dict(build_model(tinynet_spec(4, 2, 32)).params)
+        change(params)
+        with pytest.raises(ValueError, match=message):
+            Model(tinynet_spec(4, 2, 32), params)
+
+    def test_bank_that_overflows_the_model_dtype_rejected(self):
+        # Finite at f64, inf once copied into an f32 conv6.
+        bank = FilterBank(Tensor(np.full((8, 64, 1, 1), 1e300)), classes=4, filters_per_class=2)
+        with np.errstate(over="ignore"), pytest.raises(
+                ValueError, match="param 'module0.conv6.weight' has NaN or inf values"):
+            build_model(tinynet_spec(4, 2, 32), bank_init=[bank], dtype="f32")
 
 
 # ------------------------------------------------------------------ forward
@@ -753,6 +834,17 @@ class TestFusePredictions:
         with pytest.raises(ValueError, match="nonnegative"):
             fuse_predictions(outs, (1.0, -1.0, 0.0))
 
+    @pytest.mark.parametrize("weights,message", [
+        (["1", "2", "0.5"], "fusion weight 0 must be a real number, got '1'"),
+        ([True, False, True], "fusion weight 0 must be a real number, got True"),
+        ([1.0, 2.0, None], "fusion weight 2 must be a real number, got None"),
+    ], ids=["strings", "bools", "none"])
+    def test_non_real_weight_rejected(self, weights, message):
+        # np.asarray(..., float64) turned strings and bools into numbers.
+        outs = self._outputs([0.0, 1.0], [1.0, 0.0], [0.0, 1.0])
+        with pytest.raises(ValueError, match=message):
+            fuse_predictions(outs, weights)
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_weight_rejected(self, bad):
         outs = self._outputs([0.0, 1.0], [0.0, 1.0], [0.0, 1.0])
@@ -901,7 +993,7 @@ class TestSpecValidation:
          "filter bank weight must be a Tensor, got ndarray"),
         (ValueError, lambda: build_model(tinynet_spec(4, 2), bank_init=[
             FilterBank(Tensor(np.full((8, 64, 1, 1), np.nan)), classes=4, filters_per_class=2)]),
-         "module 0 bank weight has NaN or inf values"),
+         "param 'module0.conv6.weight' has NaN or inf values"),
         (ValueError, lambda: build_model(tinynet_spec(4, 2), bank_init=[np.zeros((8, 64, 1, 1))]),
          "module 0 bank_init entry must be a FilterBank or None, got ndarray"),
         (ValueError, lambda: BackboneSpec(layers=(ReLU(), Conv(3, 4)), taps={"t": 1}),

@@ -855,6 +855,13 @@ class TestTensorInvariants:
             t = Tensor(data)
             assert t.dtype == np.float64 and t.data.tolist() == [0.0, 1.0, 2.0]
 
+    def test_byte_swapped_floats_keep_their_width(self):
+        # A big-endian f32 became f64, as if it were an int.
+        for order in "<>":
+            for width, dtype in ((4, np.float32), (8, np.float64)):
+                t = Tensor(np.array([1.5, -2.0], f"{order}f{width}"))
+                assert t.dtype == dtype and t.dtype.isnative and t.data.tolist() == [1.5, -2.0]
+
     def test_row_major_storage(self):
         t = Tensor(np.arange(6.0).reshape(2, 3).T)
         assert t.data.flags["C_CONTIGUOUS"]
