@@ -46,6 +46,9 @@ class Box:
         return inter / union if union > 0 else 0.0
 
     def clipped(self, height: float, width: float) -> "Box":
+        # min() with a NaN bound keeps the coordinate, so a NaN would clip nothing.
+        check_real("height", height)
+        check_real("width", width)
         return Box(
             max(0.0, min(self.top, height)),
             max(0.0, min(self.left, width)),
@@ -63,9 +66,7 @@ def nms_select(candidates, iou_threshold: float, max_keep: int):
     (image_id, location) so the selection is order-independent.  Every
     energy must be finite: a NaN has no place in that order.
     """
-    check_real("iou_threshold", iou_threshold)
-    if not 0.0 <= iou_threshold <= 1.0:
-        raise ValueError(f"iou_threshold must be in [0, 1], got {iou_threshold}")
+    check_real("iou_threshold", iou_threshold, 0, 1)
     check_int("max_keep", max_keep, 1)
     candidates = list(candidates)
     for cand in candidates:

@@ -51,10 +51,14 @@ def kmeans(vectors, k: int, seed) -> KMeansResult:
     Generator), and at most ``MAX_ITER`` iterations run.  Assignment ties
     go to the smallest center index; a cluster that empties is re-seeded
     at the point farthest from its assigned center.  If fewer than k rows
-    are given, they are repeated cyclically to k.  Non-finite vectors are
-    rejected.
+    are given, they are repeated cyclically to k.  Non-finite vectors, and
+    vectors whose dtype is not bool, int or float, are rejected.
     """
-    points = np.asarray(vectors, dtype=np.float64)
+    points = np.asarray(vectors)
+    # The float64 cast would drop a complex vector's imaginary part with only a warning.
+    if points.dtype.kind not in "biuf":
+        raise ValueError(f"kmeans vectors must be bool, int or float, got dtype {points.dtype}")
+    points = points.astype(np.float64, copy=False)
     if points.size == 0:
         raise ValueError("kmeans requires at least one vector")
     if points.ndim != 2:

@@ -68,17 +68,16 @@ class SynthSpec:
     seed: int = 0
 
     def __post_init__(self):
-        for name in ("jitter", "noise", "cue_reliability", "tint_strength",
-                     "background_amplitude", "neutral_patch_rate", "patch_contrast"):
-            check_real(name, getattr(self, name), 0 if name == "noise" else None)
+        for name, least, most in (("jitter", 0, 1), ("noise", 0, None), ("cue_reliability", 0, 1),
+                                  ("tint_strength", None, None),
+                                  ("background_amplitude", None, None),
+                                  ("neutral_patch_rate", 0, 1), ("patch_contrast", None, None)):
+            check_real(name, getattr(self, name), least, most)
         for name, least in (("classes", 1), ("per_class_train", 0), ("per_class_test", 0),
                             ("image_size", 2), ("patch_size", 1), ("distractors", 0), ("seed", 0)):
             check_int(name, getattr(self, name), least)
         if self.patch_size >= self.image_size:
             raise ValueError("patch_size must be smaller than image_size")
-        for name in ("jitter", "cue_reliability", "neutral_patch_rate"):
-            if not 0.0 <= getattr(self, name) <= 1.0:
-                raise ValueError(f"{name} must lie in [0, 1], got {getattr(self, name)}")
 
     def tint_color(self, label: int) -> np.ndarray:
         hue = (label + 0.5) / self.classes

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import re
 from pathlib import Path
 
@@ -51,6 +52,9 @@ def _write(path, magic: str, image: np.ndarray, normalize: bool = False) -> None
         raise ValueError(f"{path}: image has NaN or inf values")
     if normalize:
         lo, hi = float(image.min()), float(image.max())
+        # A range wider than the largest float would scale every value to NaN.
+        if not math.isfinite(hi - lo):
+            raise ValueError(f"{path}: value range [{lo}, {hi}] is too wide to normalize")
         image = (image - lo) / (hi - lo) if hi > lo else np.zeros_like(image)
     pixels = np.clip(np.rint(image * 255.0), 0, 255).astype(np.uint8)
     h, w = pixels.shape[:2]

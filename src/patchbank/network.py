@@ -26,8 +26,7 @@ from . import ops
 from .checks import check_int, check_real
 from .tensor import Tensor, active_tape, resolve_dtype
 
-# Images per backbone pass when no tape records: a few images' activations
-# and im2col columns fit in cache, where a whole batch's do not.
+# Images per untaped backbone chunk; ``_run_backbone`` says why.
 BACKBONE_CHUNK = 4
 
 
@@ -330,96 +329,81 @@ def _check_input(model: Model, image) -> Tensor:
     return x
 
 
-def _run_backbone(model: Model, x: Tensor, upto: int | None = None,
-                  keep: set[int] | None = None) -> tuple[Tensor, dict[int, Tensor]]:
-    """Backbone output through layer ``upto`` (default: the last) and the ``keep`` taps.
+def _run_backbone(model: Model, x: Tensor, wanted: set[int]) -> dict[int, Tensor]:
+    """The backbone maps at the layer indices in ``wanted``, walking only through
+    layer ``max(wanted)``.
 
     A conv layer followed by a relu layer runs as one ``conv2d(...,
     relu=True)``, whose backward masks from its output, and the relu layer
     runs nothing; the spec alone decides this.  Without a tape, a batch
-    runs every layer on ``BACKBONE_CHUNK`` images at a time, and
-    ``ops.parallel_for`` spreads the chunks over its workers.  Each
-    returned map is allocated once at batch size, from the spec's feature
-    shapes, and each chunk's result is copied into its own slice as soon
-    as the chunk finishes, so no map exists twice.  Each kernel treats
-    images independently, so the bytes equal a whole-batch pass.  A taped
-    pass runs whole and serially, since the tape records only the calling
+    runs every layer on ``BACKBONE_CHUNK`` images at a time, since a few
+    images' activations and im2col columns fit in cache where a whole
+    batch's do not, and ``ops.parallel_for`` spreads the chunks over its
+    workers.  Each wanted map is allocated once at batch size, from the
+    spec's feature shapes, and each chunk's result is copied into its own
+    slice as soon as the chunk finishes, so no map exists twice and the
+    traced peak stays near the returned bytes.  Each kernel treats images
+    independently, so the bytes equal a whole-batch pass.  A taped pass
+    runs whole and serially, since the tape records only the calling
     thread's ops.
     """
-    layers = model.spec.backbone.layers
-    last = len(layers) - 1 if upto is None else upto
     if x.ndim == 4 and len(x.data) > BACKBONE_CHUNK and active_tape() is None:
         n = len(x.data)
         shapes = feature_shapes(model.spec.backbone, model.spec.in_channels, model.spec.input_size)
-        out = np.empty((n, *shapes[last]), x.dtype)
-        taps = {i: np.empty((n, *shapes[i]), x.dtype) for i in keep or () if i <= last}
+        maps = {i: np.empty((n, *shapes[i]), x.dtype) for i in wanted}
 
         def run_chunk(c):
             part = slice(c * BACKBONE_CHUNK, (c + 1) * BACKBONE_CHUNK)
-            cur, kept = _run_backbone(model, Tensor(x.data[part]), upto, keep)
-            out[part] = cur.data
-            for i, t in kept.items():
-                taps[i][part] = t.data
+            for i, t in _run_backbone(model, Tensor(x.data[part]), wanted).items():
+                maps[i][part] = t.data
 
         ops.parallel_for(-(-n // BACKBONE_CHUNK), run_chunk)
-        return Tensor(out), {i: Tensor(t) for i, t in taps.items()}
-    taps: dict[int, Tensor] = {}
+        return {i: Tensor(m) for i, m in maps.items()}
+    maps = {}
     cur = x
-    for i, layer in enumerate(layers[: last + 1]):
+    for i, layer in enumerate(model.spec.backbone.layers[: max(wanted) + 1]):
         if layer.kind == "conv":
             cur = ops.conv2d(cur, model.params[f"backbone.{i}.weight"], layer.stride, layer.pad,
                              relu=model.spec.backbone._relu_follows(i))
         elif layer.kind == "pool":
             cur = ops.maxpool2d(cur, layer.kernel, layer.stride)
-        if keep and i in keep:
-            taps[i] = cur
-    return cur, taps
+        if i in wanted:
+            maps[i] = cur
+    return maps
 
 
 def tap_features(model: Model, image, tap: str) -> Tensor:
-    """Feature map at a tap point (runs only the backbone prefix, with the
-    same fused ops as ``forward``).
-
-    Without an active tape the prefix runs on a few images at a time
-    (``BACKBONE_CHUNK``), one chunk per ``ops.parallel_for`` worker at a
-    time, each written into one batch-sized output, so the traced peak
-    stays near the output's own bytes; the result is byte-equal to a
-    whole-batch pass.
-    """
+    """Feature map at a tap point; runs only the backbone prefix, with the same
+    fused ops and untaped chunking as ``forward`` (see ``_run_backbone``), and
+    is byte-equal to a whole-batch pass."""
     idx = _tap_index(model.spec.backbone, tap)
-    x = _check_input(model, image)
-    out, _ = _run_backbone(model, x, upto=idx)
-    return out
+    return _run_backbone(model, _check_input(model, image), {idx})[idx]
 
 
 def forward(model: Model, image) -> StreamOutputs:
     """Run every stream on one image (C,S,S) or a batch (N,C,S,S).
 
     Deterministic; also records the argmax location of every conv6 filter
-    response for later patch visualization.  Each backbone conv followed
-    by a relu runs fused with it as ``conv2d(..., relu=True)``, so the
-    tape keeps one activation per pair and the backward masks from the
-    ReLU output.  Under ``pooling="gmp"`` conv6 and its global max
+    response for later patch visualization.  One backbone walk returns the
+    final map and each module's tap, with each conv and its relu fused and
+    untaped batches chunked as ``_run_backbone`` describes; the heads run
+    on the whole batch.  Under ``pooling="gmp"`` conv6 and its global max
     pooling run fused as ``ops.bank_peaks``, so the (k*M, H, W) response
     maps are never stored; ``pooling="gap"`` needs the dense maps for
-    their mean, so it runs ``conv2d`` and then both global pools.
-    Without an active tape the backbone runs on a few images at a time
-    (``BACKBONE_CHUNK``), its chunks spread over ``ops.parallel_for``'s
-    workers, each written into one batch-sized final map and tap, and the
-    heads on the whole batch; every output is byte-equal to a whole-batch
-    pass.
+    their mean, so it runs ``conv2d`` and then both global pools.  Every
+    output is byte-equal to a whole-batch pass.
     """
     spec = model.spec
-    x = _check_input(model, image)
-    tap_idx = {spec.backbone.taps[m.tap] for m in spec.modules}
-    final, taps = _run_backbone(model, x, keep=tap_idx)
+    last = len(spec.backbone.layers) - 1
+    maps = _run_backbone(model, _check_input(model, image),
+                         {last, *(spec.backbone.taps[m.tap] for m in spec.modules)})
 
-    g_logits = ops.fully_connected(ops.global_avg_pool(final), model.params["ghead.weight"],
+    g_logits = ops.fully_connected(ops.global_avg_pool(maps[last]), model.params["ghead.weight"],
                                    model.params["ghead.bias"])
 
     p_logits, side_logits, peaks, argmaxes = [], [], [], []
     for mi, mod in enumerate(spec.modules):
-        tap_feat = taps[spec.backbone.taps[mod.tap]]
+        tap_feat = maps[spec.backbone.taps[mod.tap]]
         w6 = model.params[f"module{mi}.conv6.weight"]
         if spec.pooling == "gmp":
             peak, argmax = ops.bank_peaks(tap_feat, w6)
@@ -456,11 +440,18 @@ def _check_fusion_weights(weights, names) -> np.ndarray:
 
 
 def fuse_predictions(outputs: StreamOutputs, weights) -> tuple[Tensor, np.ndarray | int]:
-    """Weighted sum of stream logits and its argmax class (ties -> smallest index)."""
+    """Weighted sum of stream logits and its argmax class (ties -> smallest index).
+    Every stream's logits must be finite; the error names the first that is not."""
     streams = logit_streams(outputs)
     if np.shape(weights) != (len(streams),):
         raise ValueError(f"expected {len(streams)} fusion weights, got shape {np.shape(weights)}")
     w = _check_fusion_weights(weights, [f"fusion weight {i}" for i in range(len(streams))])
+    n = len(outputs.p_logits)
+    for name, s in zip(["G"] + [f"P{i}" for i in range(n)] + [f"side{i}" for i in range(n)],
+                       streams):
+        # argmax returns the first NaN's index, so one NaN logit would pick the class.
+        if not np.isfinite(s.data).all():
+            raise ValueError(f"{name} stream logits have NaN or inf values")
     fused = sum(wi * s.data for wi, s in zip(w, streams))
     cls = fused.argmax(axis=-1)
     return Tensor(fused), (int(cls) if fused.ndim == 1 else cls)

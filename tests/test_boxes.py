@@ -10,6 +10,16 @@ from hypothesis import strategies as st
 
 from patchbank.boxes import Box, nms_select
 
+# An int too large for a float: math.isfinite raised a bare OverflowError on it.
+HUGE = 10**400
+
+
+def rejection(bad):
+    """The end of ``check_real``'s message for one of these tests' bad values."""
+    if isinstance(bad, (bool, str)):
+        return f"a real number, got {bad!r}"
+    return "finite, got an int too large for a float" if bad is HUGE else f"finite, got {bad!r}"
+
 coords = st.floats(0.0, 64.0, allow_nan=False, allow_subnormal=False)
 
 
@@ -152,17 +162,22 @@ def test_nms_bad_arguments_rejected():
         nms_select([], True, 5)
     with pytest.raises(ValueError, match="iou_threshold must be a real number, got '0.3'"):
         nms_select([], "0.3", 5)
+    with pytest.raises(ValueError, match=r"iou_threshold must lie in \[0, 1\], got -0.1"):
+        nms_select([], -0.1, 5)
+    with pytest.raises(ValueError, match="iou_threshold must be finite, got an int too large"):
+        nms_select([], HUGE, 5)
 
 
-@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf"), True, "2"])
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf"), True, "2",
+                                 pytest.param(HUGE, id="huge-int")])
 def test_nms_non_finite_energy_rejected(bad):
     # A NaN has no place in the energy order: unchecked, these three overlapping
     # candidates would keep (0, 0), (0, 1) or (0, 2) by the order given.  True
     # passed as 1.0, and "2" raised a bare TypeError from the sort.
     cands = [Candidate(e, 0, (0, i), SQUARE) for i, e in enumerate([1.0, bad, 2.0])]
-    kind = "finite" if isinstance(bad, float) else "a real number"
+    message = rejection(bad)
     for order in itertools.permutations(cands):
-        with pytest.raises(ValueError, match=rf"candidate energy must be {kind}, got {bad!r}: "
+        with pytest.raises(ValueError, match=rf"candidate energy must be {message}: "
                                              rf".*location=\(0, 1\)"):
             nms_select(list(order), 0.3, 4)
 
@@ -182,6 +197,16 @@ def test_clipped_keeps_each_side_inside_the_image():
     assert Box(6.0, -3.0, 7.0, -1.0).clipped(4.0, 10.0) == Box(4.0, 0.0, 4.0, 0.0)
 
 
+@pytest.mark.parametrize("side", ["height", "width"])
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), True,
+                                 pytest.param(HUGE, id="huge-int")])
+def test_clipped_bad_bound_rejected(side, bad):
+    # min() with a NaN bound keeps the coordinate: clipped(nan, 5) left the box unclipped.
+    bounds = {"height": 10.0, "width": 5.0, side: bad}
+    with pytest.raises(ValueError, match=f"{side} must be {rejection(bad)}"):
+        Box(0, 0, 10, 10).clipped(**bounds)
+
+
 @pytest.mark.parametrize("corners", [(2.0, 0.0, 1.0, 3.0), (0.0, 2.0, 3.0, 1.0)],
                          ids=["bottom-above-top", "right-left-of-left"])
 def test_degenerate_box_rejected(corners):
@@ -190,13 +215,13 @@ def test_degenerate_box_rejected(corners):
 
 
 @pytest.mark.parametrize("corner", range(4))
-@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf"), True, "0"])
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf"), True, "0",
+                                 pytest.param(HUGE, id="huge-int")])
 def test_non_finite_box_rejected(corner, bad):
     # Box(nan, 0, 1, 1) passed the degenerate check and had IoU 0 with itself;
     # Box(True, 0, 1, 1) passed as 1.0, and Box("0", 0, 1, 1) raised a bare TypeError.
     corners = [0.0, 0.0, 1.0, 1.0]
     corners[corner] = bad
     name = ("top", "left", "bottom", "right")[corner]
-    kind = "finite" if isinstance(bad, float) else "a real number"
-    with pytest.raises(ValueError, match=f"{name} must be {kind}, got {bad!r}"):
+    with pytest.raises(ValueError, match=f"{name} must be {rejection(bad)}"):
         Box(*corners)

@@ -68,7 +68,12 @@ def test_emptied_cluster_is_reseeded(distinct, extra, copies, pyrng):
     (np.zeros((3, 2)), 0, "k must be >= 1, got 0"),
     (np.zeros((3, 2)), 2.5, "k must be an integer, got 2.5"),
     (np.zeros((3, 2)), True, "k must be an integer, got True"),
-], ids=["no-vectors", "empty-list", "rank-1", "rank-3", "k-zero", "k-float", "k-bool"])
+    # The float64 cast dropped the imaginary part with only a ComplexWarning.
+    (np.array([[1 + 2j, 0], [3, 4j]]), 1,
+     "kmeans vectors must be bool, int or float, got dtype complex128"),
+    ([["a", "b"]], 1, "kmeans vectors must be bool, int or float, got dtype <U1"),
+], ids=["no-vectors", "empty-list", "rank-1", "rank-3", "k-zero", "k-float", "k-bool",
+        "complex", "strings"])
 def test_bad_arguments_rejected(vectors, k, message):
     with pytest.raises(ValueError, match=message):
         kmeans(vectors, k, seed=0)

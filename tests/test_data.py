@@ -333,6 +333,9 @@ def _manifest(directory, text):
     (lambda d: load_folder(_manifest(d, "path,label\n"), -3), "image_size must be >= 1, got -3"),
     (lambda d: load_folder(_manifest(d, "path,label\n"), 16.5),
      "image_size must be an integer, got 16.5"),
+    # math.isfinite raised a bare OverflowError on an int too large for a float.
+    (lambda d: small_spec(noise=10**400), "noise must be finite, got an int too large"),
+    (lambda d: small_spec(jitter=-10**400), "jitter must be finite, got an int too large"),
 ], ids=["jitter-below", "jitter-above", "cue-reliability-above", "neutral-rate-below",
         "no-classes", "negative-train-count", "negative-test-count", "empty-patch",
         "negative-noise", "negative-distractors", "nan-noise", "nan-background",
@@ -342,7 +345,7 @@ def _manifest(directory, text):
         "string-tint", "manifest-header", "manifest-box-header", "box-three-fields",
         "box-five-fields", "box-not-a-number", "box-nan", "box-degenerate", "box-empty-field",
         "image-size-0",
-        "image-size-negative", "image-size-float"])
+        "image-size-negative", "image-size-float", "huge-int-noise", "huge-int-jitter"])
 def test_bad_input_rejected(tmp_path, call, message):
     with pytest.raises(ValueError, match=message):
         call(tmp_path)

@@ -280,6 +280,16 @@ class TestPGM:
             save_pgm(path, img, normalize=normalize)
         assert not path.exists()
 
+    def test_normalize_range_too_wide_rejected(self, tmp_path):
+        # hi - lo overflowed to inf, and the bytes were cast from NaN after three warnings.
+        path = tmp_path / "t.pgm"
+        with pytest.raises(ValueError, match=r"t\.pgm: value range \[-1e\+308, 1e\+308\] is "
+                                             "too wide to normalize"):
+            save_pgm(path, np.array([[-1e308, 1e308]]), normalize=True)
+        assert not path.exists()
+        save_pgm(path, np.array([[-1e308, 0.0, 7e307]]), normalize=True)
+        np.testing.assert_array_equal(load_pgm(path), [[0.0, 150 / 255, 1.0]])
+
 
 def _written(path, raw):
     path.write_bytes(raw)

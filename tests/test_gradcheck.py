@@ -174,11 +174,12 @@ def test_non_finite_gradient_fails_the_check(f):
     ({"eps": True}, "eps must be a real number, got True"),
     ({"eps": "1e-4"}, "eps must be a real number, got '1e-4'"),
     ({"eps": None}, "eps must be a real number, got None"),
+    ({"eps": 10**400}, "eps must be finite, got an int too large for a float"),
     ({"max_coords": 0}, "max_coords must be >= 1, got 0"),
     ({"max_coords": -1}, "max_coords must be >= 1, got -1"),
     ({"max_coords": 2.5}, "max_coords must be an integer, got 2.5"),
     ({"max_coords": True}, "max_coords must be an integer, got True"),
-], ids=["eps-nan", "eps-inf", "eps-zero", "eps-negative", "eps-bool", "eps-string", "eps-none",
+], ids=["eps-nan", "eps-inf", "eps-zero", "eps-negative", "eps-bool", "eps-string", "eps-none", "eps-huge-int",
         "max-coords-zero",
         "max-coords-negative", "max-coords-float", "max-coords-bool"])
 def test_bad_arguments_rejected(kwargs, message):

@@ -221,6 +221,16 @@ class TestBuildModel:
                                       b.params["backbone.0.weight"].data)
         np.testing.assert_array_equal(a.params["ghead.weight"].data, b.params["ghead.weight"].data)
 
+    def test_bank_init_none_entry_keeps_the_drawn_weight(self):
+        spec = two_module_spec()
+        bank = FilterBank(weight=Tensor(np.random.default_rng(5).standard_normal((8, 64, 1, 1))),
+                          classes=4, filters_per_class=2)
+        drawn = build_model(spec, seed=0)
+        model = build_model(spec, bank_init=[None, bank], seed=0)
+        np.testing.assert_array_equal(model.params["module0.conv6.weight"].data,
+                                      drawn.params["module0.conv6.weight"].data)
+        np.testing.assert_array_equal(model.params["module1.conv6.weight"].data, bank.weight.data)
+
     def test_bank_shape_mismatch_rejected(self):
         spec = tinynet_spec(classes=4, filters_per_class=3)
         bank = FilterBank(weight=Tensor(np.zeros((12, 32, 1, 1))), classes=4, filters_per_class=3)
@@ -639,8 +649,13 @@ class TestChunkedBackbone:
         out, peak = traced_peak(lambda: tap_features(model, x, "block3"))
         assert peak < 1.5 * out.data.nbytes
 
-    def test_forward_peak_near_tap_and_final_bytes(self):
-        model = build_model(tinynet_spec(4, 2, 32), seed=0)
+    # A second module at block4 taps the final map, which is still filled once.
+    @pytest.mark.parametrize("block4_module", [False, True])
+    def test_forward_peak_near_tap_and_final_bytes(self, block4_module):
+        spec = tinynet_spec(4, 2, 32)
+        if block4_module:
+            spec = dataclasses.replace(spec, modules=(*spec.modules, DFLModuleSpec("block4", 2)))
+        model = build_model(spec, seed=0)
         x = np.random.default_rng(0).random((32 * CHUNK, 3, 32, 32))
         _, peak = traced_peak(lambda: forward(model, x))
         maps = [tap_features(model, x, tap) for tap in ("block3", "block4")]
@@ -844,6 +859,15 @@ class TestFusePredictions:
         outs = self._outputs([0.0, 1.0], [1.0, 0.0], [0.0, 1.0])
         with pytest.raises(ValueError, match=message):
             fuse_predictions(outs, weights)
+
+    @pytest.mark.parametrize("stream,name", [(0, "G"), (1, "P0"), (2, "side0")])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_logits_rejected(self, bad, stream, name):
+        # NaN loses every argmax comparison: NaN G logits gave class 0 for every row.
+        logits = [[[0.0, 1.0], [1.0, 0.0]] for _ in range(3)]
+        logits[stream][1][1] = bad
+        with pytest.raises(ValueError, match=f"{name} stream logits have NaN or inf values"):
+            fuse_predictions(self._outputs(*logits), (1.0, 1.0, 0.1))
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_weight_rejected(self, bad):
