@@ -446,9 +446,9 @@ def fuse_predictions(outputs: StreamOutputs, weights) -> tuple[Tensor, np.ndarra
     if np.shape(weights) != (len(streams),):
         raise ValueError(f"expected {len(streams)} fusion weights, got shape {np.shape(weights)}")
     w = _check_fusion_weights(weights, [f"fusion weight {i}" for i in range(len(streams))])
-    n = len(outputs.p_logits)
-    for name, s in zip(["G"] + [f"P{i}" for i in range(n)] + [f"side{i}" for i in range(n)],
-                       streams):
+    names = (["G"] + [f"P{i}" for i in range(len(outputs.p_logits))]
+             + [f"side{i}" for i in range(len(outputs.side_logits))])
+    for name, s in zip(names, streams):
         # argmax returns the first NaN's index, so one NaN logit would pick the class.
         if not np.isfinite(s.data).all():
             raise ValueError(f"{name} stream logits have NaN or inf values")
