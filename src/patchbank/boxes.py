@@ -46,9 +46,10 @@ class Box:
         return inter / union if union > 0 else 0.0
 
     def clipped(self, height: float, width: float) -> "Box":
-        # min() with a NaN bound keeps the coordinate, so a NaN would clip nothing.
-        check_real("height", height)
-        check_real("width", width)
+        # min() with a NaN bound keeps the coordinate, so a NaN would clip nothing;
+        # a negative extent would clip every box to an empty one at the edge.
+        check_real("height", height, 0)
+        check_real("width", width, 0)
         return Box(
             max(0.0, min(self.top, height)),
             max(0.0, min(self.left, width)),

@@ -344,8 +344,8 @@ def _run_backbone(model: Model, x: Tensor, wanted: set[int]) -> dict[int, Tensor
     slice as soon as the chunk finishes, so no map exists twice and the
     traced peak stays near the returned bytes.  Each kernel treats images
     independently, so the bytes equal a whole-batch pass.  A taped pass
-    runs whole and serially, since the tape records only the calling
-    thread's ops.
+    runs whole, since the tape records only the calling thread's ops;
+    its convs spread their images over the workers themselves.
     """
     if x.ndim == 4 and len(x.data) > BACKBONE_CHUNK and active_tape() is None:
         n = len(x.data)
@@ -441,7 +441,11 @@ def _check_fusion_weights(weights, names) -> np.ndarray:
 
 def fuse_predictions(outputs: StreamOutputs, weights) -> tuple[Tensor, np.ndarray | int]:
     """Weighted sum of stream logits and its argmax class (ties -> smallest index).
-    Every stream's logits must be finite; the error names the first that is not."""
+    Every stream's logits must be finite; the error names the first that is not.
+    ``outputs`` must hold one P and one side stream per module."""
+    if len(outputs.p_logits) != len(outputs.side_logits):
+        raise ValueError(f"outputs hold {len(outputs.p_logits)} P streams but "
+                         f"{len(outputs.side_logits)} side streams; each module gives one of each")
     streams = logit_streams(outputs)
     if np.shape(weights) != (len(streams),):
         raise ValueError(f"expected {len(streams)} fusion weights, got shape {np.shape(weights)}")

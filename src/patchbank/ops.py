@@ -12,8 +12,8 @@ skip the work for an input that does not require grad; the tape keeps
 only the gradients of inputs that require grad.
 
 ``conv2d`` and ``bank_peaks`` work one image at a time, so their scratch
-memory does not grow with the batch: ``conv2d`` lowers each image into one
-reused im2col column buffer, and its backward rebuilds an image's
+memory does not grow with the batch: ``conv2d`` lowers each image into its
+worker's reused im2col column buffer, and its backward rebuilds an image's
 columns from x when it needs them instead of keeping the whole batch's.
 ``conv2d(..., relu=True)`` clamps each image's output in place and its
 backward masks each image's gradient from that output, so a conv and
@@ -26,11 +26,16 @@ package's or not, then runs on its calling thread.  An idle OpenBLAS
 worker spins on another core for about 0.1 s after each threaded GEMM,
 so Python threads only gain once BLAS keeps to one.  ``parallel_for``
 then spreads independent images over ``WORKERS`` threads, each held to
-its own core for the call: ``bank_peaks`` runs its images this way,
-and the network its untaped backbone chunks.  One thread computes each
-image with one-threaded GEMMs, so each image's bytes depend neither on
-how the batch is split nor on the core count.  Where no setter is found, ``WORKERS`` is 1 and
-every pass runs serially on the calling thread.
+its own core for the call: ``conv2d`` runs its images this way, forward
+and backward, taped or not, as does ``bank_peaks``, and the network its
+untaped backbone chunks.  A ``parallel_for`` called inside another's
+work runs serially on its calling thread, so the convs inside an
+untaped chunk start no threads of their own.  One thread computes each
+image with one-threaded GEMMs, and ``conv2d``'s weight gradient sums
+the per-image products in batch order after they are all made, so every
+byte depends neither on how the batch is split nor on the core count.
+Where no setter is found, ``WORKERS`` is 1 and every pass runs serially
+on the calling thread.
 """
 
 from __future__ import annotations
@@ -70,6 +75,9 @@ def _pin_blas(libs: Path) -> int:
 WORKERS = _pin_blas(Path(np.__file__).resolve().parent.parent / "numpy.libs")
 
 
+_inside = threading.local()  # .work is True on a thread while it runs a parallel_for's work
+
+
 def parallel_for(count: int, work) -> None:
     """Call ``work(i)`` for each i in ``range(count)``, spread over ``WORKERS`` threads.
 
@@ -84,7 +92,17 @@ def parallel_for(count: int, work) -> None:
     ``work(i)`` must touch only its own part of any shared output.  Every
     thread is joined before this returns, and the first exception a
     helper thread raised is re-raised here.
+
+    A call made inside another call's ``work`` runs every index in order
+    on its calling thread, starts no thread and leaves that thread's cores
+    as they are: the outer call already keeps every worker busy.  So a
+    ``conv2d`` inside an untaped backbone chunk runs its images serially,
+    while a taped ``conv2d``, called from no worker, spreads them.
     """
+    if getattr(_inside, "work", False):
+        for i in range(count):
+            work(i)
+        return
     shares = min(WORKERS, count)
     cores = []
     if shares > 1 and hasattr(os, "sched_getaffinity"):
@@ -95,6 +113,7 @@ def parallel_for(count: int, work) -> None:
     errors: list[BaseException] = []
 
     def run(s):
+        _inside.work = True
         if pinned:
             os.sched_setaffinity(0, {cores[s]})  # 0 is the calling thread
         while True:
@@ -116,6 +135,7 @@ def parallel_for(count: int, work) -> None:
     try:
         run(0)
     finally:
+        _inside.work = False
         for t in helpers:
             t.join()
         if pinned:
@@ -196,20 +216,24 @@ def conv2d(x: Tensor, weight: Tensor, stride: int = 1, pad: int = 0,
     """Cross-correlate filters over a feature map, optionally followed by ReLU.
 
     x: (C_in, H, W), weight: (C_out, C_in, kh, kw) -> (C_out, H', W') with
-    H' = floor((H + 2*pad - kh)/stride) + 1 and likewise for W'.  Each
-    image is zero-padded and lowered on its own into one reused
+    H' = floor((H + 2*pad - kh)/stride) + 1 and likewise for W'.  The
+    images are spread over ``parallel_for``'s workers.  Each image is
+    zero-padded and lowered on its own into its worker's reused
     (C_in*kh*kw, H'*W') column buffer, which the (C_out, C_in*kh*kw)
-    weight matrix multiplies, so one image's padded copy and columns are
-    all that exist at a time, on the tape too.  With ``relu`` each image's
-    product is clamped in place, giving the bytes of ``relu(conv2d(...))``
-    with one taped activation instead of two.
+    weight matrix multiplies, so one padded copy and one column buffer
+    per worker are all that exist at a time, and the tape keeps only the
+    calling thread's.  With ``relu`` each image's product is clamped in
+    place, giving the bytes of ``relu(conv2d(...))`` with one taped
+    activation instead of two.
 
-    Backward rebuilds each image's columns from x: the weight gradient
-    sums the per-image products in batch order, and each image's column
-    gradient is scattered back over its windows.  Under ``relu`` each
-    image's gradient is first masked by ``out > 0``, which equals the
-    pre-activation's ``> 0`` for every value, -0.0 and NaN included, into
-    one reused buffer, so no batch-wide mask or masked gradient exists.
+    Backward rebuilds each image's columns from x and spreads the images
+    the same way: each image's weight-gradient product goes to its own
+    row of an (N, C_out, C_in*kh*kw) buffer, whose rows are then summed
+    in batch order, and each image's column gradient is scattered back
+    over its windows.  Under ``relu`` each image's gradient is first
+    masked by ``out > 0``, which equals the pre-activation's ``> 0`` for
+    every value, -0.0 and NaN included, into its worker's reused buffer,
+    so no batch-wide mask or masked gradient exists.
     """
     x, weight = _as_tensor(x), _as_tensor(weight)
     xd, wd = x.data, weight.data
@@ -232,51 +256,70 @@ def conv2d(x: Tensor, weight: Tensor, stride: int = 1, pad: int = 0,
     ho = (h + 2 * pad - kh) // stride + 1
     wo = (w + 2 * pad - kw) // stride + 1
 
-    # One zero-padded image at a time; win views its windows in column
-    # order, (Ci, kh, kw, Ho, Wo).
-    xpad = np.zeros((c, h + 2 * pad, w + 2 * pad), dtype=xd.dtype)
     inner = (slice(None), slice(pad, pad + h), slice(pad, pad + w))
-    win = sliding_window_view(xpad, (kh, kw), axis=(1, 2))[:, ::stride, ::stride]
-    win = win.transpose(0, 3, 4, 1, 2)
-    cols = np.empty((ci * kh * kw, ho * wo), dtype=xd.dtype)
+    scratch = threading.local()  # each worker's own buffers, made on its first image
 
     def lower(i):
+        """Image i's columns, in the calling thread's reused buffer."""
+        try:
+            xpad, win, cols = scratch.lowering
+        except AttributeError:
+            # One zero-padded image per thread; win views its windows in
+            # column order, (Ci, kh, kw, Ho, Wo).
+            xpad = np.zeros((c, h + 2 * pad, w + 2 * pad), dtype=xd.dtype)
+            win = sliding_window_view(xpad, (kh, kw), axis=(1, 2))[:, ::stride, ::stride]
+            win = win.transpose(0, 3, 4, 1, 2)
+            cols = np.empty((ci * kh * kw, ho * wo), dtype=xd.dtype)
+            scratch.lowering = xpad, win, cols
         xpad[inner] = xb[i]
         np.copyto(cols.reshape(win.shape), win)
         return cols
 
     wmat = wd.reshape(co, ci * kh * kw)
     res = np.empty((n, co, ho * wo), dtype=np.result_type(xd, wd))
-    for i in range(n):
+
+    def image(i):
         np.matmul(wmat, lower(i), out=res[i])
         if relu:
             np.maximum(res[i], 0, out=res[i])
+
+    parallel_for(n, image)
     out = Tensor(res.reshape(xd.shape[:-3] + (co, ho, wo)))
 
     def backward(g):
         gmat = g.reshape(n, co, ho * wo)
-        if relu:
-            live = np.empty((co, ho * wo), dtype=bool)
-            gmasked = np.empty((co, ho * wo), dtype=g.dtype)
 
         # Each pass below masks an image as it reaches it: two passes that
         # stay in cache measured faster than one pass doing both products.
         def grad(i):
             if not relu:
                 return gmat[i]
+            try:
+                live, gmasked = scratch.masking
+            except AttributeError:
+                live = np.empty((co, ho * wo), dtype=bool)
+                gmasked = np.empty((co, ho * wo), dtype=g.dtype)
+                scratch.masking = live, gmasked
             return np.multiply(gmat[i], np.greater(res[i], 0, out=live), out=gmasked)
 
         gw = None
         if weight.requires_grad:
-            gw = np.matmul(grad(0), lower(0).T)
+            # Each image's product in its own row, then summed in batch order.
+            prods = np.empty((n,) + wmat.shape, dtype=np.result_type(g, xd))
+            parallel_for(n, lambda i: np.matmul(grad(i), lower(i).T, out=prods[i]))
+            gw = prods[0].copy()
             for i in range(1, n):
-                gw += np.matmul(grad(i), lower(i).T)
+                gw += prods[i]
             gw = gw.reshape(wd.shape)
         if not x.requires_grad:
             return (None, gw)
         gx = np.empty_like(xb)
-        dpad = np.empty_like(xpad)
-        for i in range(n):
+
+        def image_grad(i):
+            try:
+                dpad = scratch.dpad
+            except AttributeError:
+                dpad = scratch.dpad = np.empty((c, h + 2 * pad, w + 2 * pad), dtype=xd.dtype)
             dcols = np.matmul(wmat.T, grad(i)).reshape(ci, kh, kw, ho, wo)
             dpad.fill(0)
             for a in range(kh):
@@ -285,6 +328,8 @@ def conv2d(x: Tensor, weight: Tensor, stride: int = 1, pad: int = 0,
                         :, a, b
                     ]
             gx[i] = dpad[inner]
+
+        parallel_for(n, image_grad)
         return (gx.reshape(xd.shape), gw)
 
     return _record((x, weight), out, backward)

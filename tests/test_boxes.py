@@ -18,6 +18,8 @@ def rejection(bad):
     """The end of ``check_real``'s message for one of these tests' bad values."""
     if isinstance(bad, (bool, str)):
         return f"a real number, got {bad!r}"
+    if -float("inf") < bad < 0:
+        return f">= 0, got {bad!r}"
     return "finite, got an int too large for a float" if bad is HUGE else f"finite, got {bad!r}"
 
 coords = st.floats(0.0, 64.0, allow_nan=False, allow_subnormal=False)
@@ -199,9 +201,10 @@ def test_clipped_keeps_each_side_inside_the_image():
 
 @pytest.mark.parametrize("side", ["height", "width"])
 @pytest.mark.parametrize("bad", [float("nan"), float("inf"), True,
-                                 pytest.param(HUGE, id="huge-int")])
+                                 pytest.param(HUGE, id="huge-int"), -5.0, -1])
 def test_clipped_bad_bound_rejected(side, bad):
-    # min() with a NaN bound keeps the coordinate: clipped(nan, 5) left the box unclipped.
+    # min() with a NaN bound keeps the coordinate: clipped(nan, 5) left the box unclipped,
+    # and clipped(-5, 5) returned an empty box at the edge.
     bounds = {"height": 10.0, "width": 5.0, side: bad}
     with pytest.raises(ValueError, match=f"{side} must be {rejection(bad)}"):
         Box(0, 0, 10, 10).clipped(**bounds)

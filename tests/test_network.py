@@ -715,6 +715,96 @@ class TestWorkers:
         assert not runner.is_alive()
         assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
 
+    def test_taped_loss_under_fast_switching(self, monkeypatch):
+        # A taped pass spreads each conv's images over the workers: an image
+        # written to another's row, or a lost write, changes the loss or a gradient.
+        model = build_model(tinynet_spec(4, 2, 16), seed=2, dtype="f32")
+        x = np.random.default_rng(2).random((2 * CHUNK + 3, 3, 16, 16))
+        labels = np.arange(len(x)) % 4
+
+        def taped():
+            image = Tensor(x, requires_grad=True, dtype="f32")
+            with GradTape() as tape:
+                loss = summed_loss(logit_streams(forward(model, image)), labels)
+            tape.backward(loss)
+            leaves = [image, *model.params.values()]
+            return [loss.data.tobytes()] + [tape.grad(t).data.tobytes() for t in leaves]
+
+        monkeypatch.setattr(ops, "WORKERS", 1)
+        want = taped()
+        monkeypatch.setattr(ops, "WORKERS", 8)
+        got = []
+        runner = threading.Thread(target=lambda: got.extend(taped()))
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            runner.start()
+            runner.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not runner.is_alive()
+        assert got == want
+
+    def test_nested_call_runs_serially_on_its_thread(self, monkeypatch):
+        if not hasattr(os, "sched_getaffinity"):
+            pytest.skip("needs sched_getaffinity")
+        monkeypatch.setattr(ops, "WORKERS", 2)
+        creators, lock = [], threading.Lock()
+
+        class SpyThread(threading.Thread):
+            def __init__(self, *args, **kwargs):
+                creators.append(threading.get_ident())
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(ops.threading, "Thread", SpyThread)
+        ran = []
+        both = threading.Barrier(2, timeout=60)  # so each outer share runs one nested call
+
+        def outer(i):
+            both.wait()
+            me, cores = threading.get_ident(), os.sched_getaffinity(0)
+            inner = []
+            ops.parallel_for(5, lambda j: inner.append((j, threading.get_ident(),
+                                                        os.sched_getaffinity(0))))
+            assert os.sched_getaffinity(0) == cores
+            with lock:
+                ran.append((me, cores, inner))
+
+        ops.parallel_for(2, outer)
+        # Only the outer call started a thread, from the calling one.
+        assert creators == [threading.get_ident()]
+        assert len({me for me, _, _ in ran}) == 2
+        for me, cores, inner in ran:
+            assert inner == [(j, me, cores) for j in range(5)]
+
+    def test_nested_exception_reaches_outer_caller(self, monkeypatch):
+        monkeypatch.setattr(ops, "WORKERS", 2)
+        caller = threading.get_ident()
+        helper_ran = threading.Event()
+
+        def outer(i):
+            if threading.get_ident() == caller:
+                assert helper_ran.wait(60)  # so the helper claims an index
+                ops.parallel_for(3, lambda j: None)
+                return
+            helper_ran.set()
+
+            def inner(j):
+                if j == 2:
+                    raise KeyError("nested in a helper")
+
+            ops.parallel_for(3, inner)
+
+        before = threading.active_count()
+        with pytest.raises(KeyError, match="nested in a helper"):
+            ops.parallel_for(4, outer)
+        assert threading.active_count() == before
+        # The caller is no longer inside a call's work, so its next call spreads again.
+        both = threading.Barrier(2, timeout=10)
+        ran = []
+        ops.parallel_for(2, lambda i: ran.append((both.wait(), threading.get_ident())))
+        assert len({t for _, t in ran}) == 2
+
     def test_helper_exception_reaches_caller(self, monkeypatch):
         monkeypatch.setattr(ops, "WORKERS", 2)
         caller, done = threading.get_ident(), []
@@ -841,6 +931,15 @@ class TestFusePredictions:
         outs = self._outputs([1.0, 1.0], [0.0, 0.0], [0.0, 0.0])
         with pytest.raises(ValueError, match="fusion weights"):
             fuse_predictions(outs, (1.0, 1.0))
+
+    def test_p_and_side_counts_must_match(self):
+        # Two P streams and no side stream made three streams, which three
+        # weights fused into class 0.
+        logits = [Tensor(np.array([1.0, 0.0])) for _ in range(3)]
+        outs = StreamOutputs(g_logits=logits[0], p_logits=logits[1:], side_logits=[],
+                             peak_values=[], peak_argmax=[])
+        with pytest.raises(ValueError, match="outputs hold 2 P streams but 0 side streams"):
+            fuse_predictions(outs, (1.0, 1.0, 1.0))
 
     def test_negative_weight_rejected(self):
         outs = self._outputs([1.0, 1.0], [0.0, 0.0], [0.0, 0.0])

@@ -216,10 +216,12 @@ class TestConv2d:
             if need_w:
                 assert gw.dtype == want_gw.dtype and gw.data.tobytes() == want_gw.tobytes()
 
-    def test_tape_keeps_one_image_of_columns(self):
+    def test_tape_keeps_one_image_of_columns(self, monkeypatch):
         # Under a tape conv2d may keep, and at its peak hold, its output,
         # the padded input and up to two images' columns, not the whole
-        # batch's (9.4 MB here).
+        # batch's (9.4 MB here).  Each worker lowers into its own columns,
+        # so the count of workers is fixed at two.
+        monkeypatch.setattr(ops, "WORKERS", 2)
         rng = np.random.default_rng(0)
         x = Tensor(rng.standard_normal((16, 32, 16, 16)), requires_grad=True)
         w = Tensor(rng.standard_normal((64, 32, 3, 3)), requires_grad=True)
@@ -237,6 +239,36 @@ class TestConv2d:
         assert kept <= peak < out.data.nbytes + padded + 2 * image_cols
         tape.backward(out)
         assert tape.grad(x).shape == x.shape and tape.grad(w).shape == w.shape
+
+
+class TestConv2dWorkers:
+    """conv2d spreads its images over ``ops.WORKERS`` threads, taped or not; bytes must not move."""
+
+    @pytest.mark.parametrize("need_x,need_w", [(True, True), (False, True), (True, False)],
+                             ids=["both", "weight-only", "input-only"])
+    @pytest.mark.parametrize("relu", [False, True], ids=["plain", "relu"])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64], ids=["f32", "f64"])
+    def test_taped_byte_equal_to_one_worker(self, monkeypatch, dtype, relu, need_x, need_w):
+        rng = np.random.default_rng(0)
+        for batch in (1, 2, 3, 5, 17):
+            xd = rng.standard_normal((batch, 3, 7, 6)).astype(dtype)
+            wd = rng.standard_normal((4, 3, 3, 3)).astype(dtype)
+            for stride in (1, 2):
+                for pad in (0, 1):
+                    runs, g = [], None
+                    for workers in (1, 2, 8):
+                        monkeypatch.setattr(ops, "WORKERS", workers)
+                        x, w = Tensor(xd, requires_grad=need_x), Tensor(wd, requires_grad=need_w)
+                        with GradTape() as tape:
+                            out = ops.conv2d(x, w, stride=stride, pad=pad, relu=relu)
+                        if g is None:
+                            g = rng.standard_normal(out.shape).astype(dtype)
+                        tape.backward(out, seed=g)
+                        grads = [tape.grad(t) for t in (x, w)]
+                        assert [gt is None for gt in grads] == [not need_x, not need_w]
+                        arrays = [out.data] + [gt.data for gt in grads if gt is not None]
+                        runs.append([(a.dtype, a.tobytes()) for a in arrays])
+                    assert runs[1] == runs[0] and runs[2] == runs[0], (batch, stride, pad)
 
 
 class TestConv2dRelu:
