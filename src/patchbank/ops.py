@@ -11,10 +11,13 @@ kernel's backward returns one gradient per input, or None where it can
 skip the work for an input that does not require grad; the tape keeps
 only the gradients of inputs that require grad.
 
-``conv2d`` and ``bank_peaks`` work one image at a time, so their scratch
-memory does not grow with the batch: ``conv2d`` lowers each image into its
-worker's reused im2col column buffer, and its backward rebuilds an image's
-columns from x when it needs them instead of keeping the whole batch's.
+``conv2d`` and ``bank_peaks`` work one image at a time on each worker,
+so their scratch memory grows with the worker count, not the batch:
+``conv2d`` lowers each image into its worker's reused im2col column
+buffer, and its backward rebuilds an image's columns from x when it
+needs them instead of keeping the whole batch's.  The one exception is
+``conv2d``'s weight gradient, which keeps every image's product until
+all are made, so that it can sum them in batch order.
 ``conv2d(..., relu=True)`` clamps each image's output in place and its
 backward masks each image's gradient from that output, so a conv and
 the ReLU after it keep one activation on the tape, not two; the
@@ -144,6 +147,22 @@ def parallel_for(count: int, work) -> None:
         raise errors[0]
 
 
+def _per_thread(make):
+    """A function that returns the calling thread's own ``make()``, made on its first call.
+
+    A kernel makes one per ``parallel_for`` pass, so each worker of the
+    pass reuses its own scratch buffers over the images it claims."""
+    made = {}
+
+    def mine():
+        me = threading.get_ident()
+        if me not in made:
+            made[me] = make()
+        return made[me]
+
+    return mine
+
+
 def _record(inputs, out: Tensor, backward) -> Tensor:
     tape = active_tape()
     if tape is not None and any(t.requires_grad for t in inputs):
@@ -221,10 +240,10 @@ def conv2d(x: Tensor, weight: Tensor, stride: int = 1, pad: int = 0,
     zero-padded and lowered on its own into its worker's reused
     (C_in*kh*kw, H'*W') column buffer, which the (C_out, C_in*kh*kw)
     weight matrix multiplies, so one padded copy and one column buffer
-    per worker are all that exist at a time, and the tape keeps only the
-    calling thread's.  With ``relu`` each image's product is clamped in
-    place, giving the bytes of ``relu(conv2d(...))`` with one taped
-    activation instead of two.
+    per worker, at most min(``WORKERS``, N) of each, are all that exist
+    at a time, and the tape keeps none.  With ``relu`` each image's
+    product is clamped in place, giving the bytes of ``relu(conv2d(...))``
+    with one taped activation instead of two.
 
     Backward rebuilds each image's columns from x and spreads the images
     the same way: each image's weight-gradient product goes to its own
@@ -256,30 +275,29 @@ def conv2d(x: Tensor, weight: Tensor, stride: int = 1, pad: int = 0,
     ho = (h + 2 * pad - kh) // stride + 1
     wo = (w + 2 * pad - kw) // stride + 1
 
+    padded = (c, h + 2 * pad, w + 2 * pad)
     inner = (slice(None), slice(pad, pad + h), slice(pad, pad + w))
-    scratch = threading.local()  # each worker's own buffers, made on its first image
 
-    def lower(i):
-        """Image i's columns, in the calling thread's reused buffer."""
-        try:
-            xpad, win, cols = scratch.lowering
-        except AttributeError:
-            # One zero-padded image per thread; win views its windows in
-            # column order, (Ci, kh, kw, Ho, Wo).
-            xpad = np.zeros((c, h + 2 * pad, w + 2 * pad), dtype=xd.dtype)
-            win = sliding_window_view(xpad, (kh, kw), axis=(1, 2))[:, ::stride, ::stride]
-            win = win.transpose(0, 3, 4, 1, 2)
-            cols = np.empty((ci * kh * kw, ho * wo), dtype=xd.dtype)
-            scratch.lowering = xpad, win, cols
+    def lowering():
+        # A zero-padded image and a column buffer; win views the padded
+        # image's windows in column order, (Ci, kh, kw, Ho, Wo).
+        xpad = np.zeros(padded, dtype=xd.dtype)
+        win = sliding_window_view(xpad, (kh, kw), axis=(1, 2))[:, ::stride, ::stride]
+        return xpad, win.transpose(0, 3, 4, 1, 2), np.empty((ci * kh * kw, ho * wo), dtype=xd.dtype)
+
+    def lower(i, buffers):
+        """Image i's columns, in ``buffers``, one thread's ``lowering()``."""
+        xpad, win, cols = buffers
         xpad[inner] = xb[i]
         np.copyto(cols.reshape(win.shape), win)
         return cols
 
     wmat = wd.reshape(co, ci * kh * kw)
     res = np.empty((n, co, ho * wo), dtype=np.result_type(xd, wd))
+    lowerings = _per_thread(lowering)
 
     def image(i):
-        np.matmul(wmat, lower(i), out=res[i])
+        np.matmul(wmat, lower(i, lowerings()), out=res[i])
         if relu:
             np.maximum(res[i], 0, out=res[i])
 
@@ -289,24 +307,31 @@ def conv2d(x: Tensor, weight: Tensor, stride: int = 1, pad: int = 0,
     def backward(g):
         gmat = g.reshape(n, co, ho * wo)
 
+        def masking():
+            if not relu:
+                return None
+            return np.empty((co, ho * wo), dtype=bool), np.empty((co, ho * wo), dtype=g.dtype)
+
         # Each pass below masks an image as it reaches it: two passes that
         # stay in cache measured faster than one pass doing both products.
-        def grad(i):
+        def grad(i, masks):
+            """Image i's output gradient, masked under ``relu`` into ``masks``."""
             if not relu:
                 return gmat[i]
-            try:
-                live, gmasked = scratch.masking
-            except AttributeError:
-                live = np.empty((co, ho * wo), dtype=bool)
-                gmasked = np.empty((co, ho * wo), dtype=g.dtype)
-                scratch.masking = live, gmasked
+            live, gmasked = masks
             return np.multiply(gmat[i], np.greater(res[i], 0, out=live), out=gmasked)
 
         gw = None
         if weight.requires_grad:
             # Each image's product in its own row, then summed in batch order.
             prods = np.empty((n,) + wmat.shape, dtype=np.result_type(g, xd))
-            parallel_for(n, lambda i: np.matmul(grad(i), lower(i).T, out=prods[i]))
+            scratch = _per_thread(lambda: (masking(), lowering()))
+
+            def image_wgrad(i):
+                masks, buffers = scratch()
+                np.matmul(grad(i, masks), lower(i, buffers).T, out=prods[i])
+
+            parallel_for(n, image_wgrad)
             gw = prods[0].copy()
             for i in range(1, n):
                 gw += prods[i]
@@ -314,13 +339,11 @@ def conv2d(x: Tensor, weight: Tensor, stride: int = 1, pad: int = 0,
         if not x.requires_grad:
             return (None, gw)
         gx = np.empty_like(xb)
+        scratch = _per_thread(lambda: (masking(), np.empty(padded, dtype=xd.dtype)))
 
         def image_grad(i):
-            try:
-                dpad = scratch.dpad
-            except AttributeError:
-                dpad = scratch.dpad = np.empty((c, h + 2 * pad, w + 2 * pad), dtype=xd.dtype)
-            dcols = np.matmul(wmat.T, grad(i)).reshape(ci, kh, kw, ho, wo)
+            masks, dpad = scratch()
+            dcols = np.matmul(wmat.T, grad(i, masks)).reshape(ci, kh, kw, ho, wo)
             dpad.fill(0)
             for a in range(kh):
                 for b in range(kw):
