@@ -271,15 +271,15 @@ def save_dataset(out_dir, train: list[Sample], test: list[Sample]) -> None:
                 writer.writerow([rel, sample.label, *box])
 
 
-def load_folder(manifest_path, image_size: int) -> list[Sample]:
-    """Load a `path,label` CSV manifest of P6 PPM images.
+def load_folder(manifest_path) -> list[Sample]:
+    """Load a `path,label` CSV manifest of P6 PPM images, scaled to [0, 1].
 
-    Images are nearest-neighbor resized to ``image_size`` and scaled to
-    [0, 1].  Paths are taken relative to the manifest location.  Under the
+    Each image keeps the size it was saved at, so under the
     `path,label,top,left,bottom,right` header that ``save_dataset`` writes,
-    each row's box is its ``truth_box``, None where the four fields are empty.
+    each row's box is its ``truth_box`` in the same pixels, None where the
+    four fields are empty.  Paths are taken relative to the manifest
+    location; every image must have the first one's size.
     """
-    check_int("image_size", image_size, 1)
     manifest_path = Path(manifest_path)
     root = manifest_path.parent
     samples = []
@@ -308,14 +308,8 @@ def load_folder(manifest_path, image_size: int) -> list[Sample]:
                 except (TypeError, ValueError) as e:  # TypeError: not four fields
                     raise ValueError(f"{where}: box {row[2:]}: {e}") from None
             img = load_ppm(root / path)
-            samples.append(Sample(_resize_nearest(img, image_size), label, box))
+            if samples and img.shape != samples[0].image.shape:
+                raise ValueError(f"{where}: image is {img.shape[1]}x{img.shape[2]}, the first "
+                                 f"is {samples[0].image.shape[1]}x{samples[0].image.shape[2]}")
+            samples.append(Sample(img, label, box))
     return samples
-
-
-def _resize_nearest(image: np.ndarray, size: int) -> np.ndarray:
-    h, w = image.shape[1:]
-    if (h, w) == (size, size):
-        return image
-    ri = np.minimum((np.arange(size) * h) // size, h - 1)
-    ci = np.minimum((np.arange(size) * w) // size, w - 1)
-    return image[:, ri][:, :, ci]

@@ -284,8 +284,9 @@ def build_model(spec: ModelSpec, bank_init=None, seed: int = 0, dtype="f64") -> 
     Each ``param_shapes`` weight in turn is drawn from a uniform law on
     +-1/sqrt(fan-in), fan-in ``prod(shape[1:])``; biases start at zero.
     ``bank_init`` optionally holds one FilterBank (or None) per module, copied
-    into that module's conv6 bit-exactly.  The random stream is consumed the
-    same either way, so two builds with one seed share every other param.
+    into that module's conv6: bit-exactly when the bank has the model's
+    dtype, else rounded once to it.  The random stream is consumed the same
+    either way, so two builds with one seed share every other param.
     """
     np_dtype = resolve_dtype(dtype)
     check_int("seed", seed, 0)
@@ -323,7 +324,10 @@ def _check_input(model: Model, image) -> Tensor:
     if x.shape[-3:] != want or x.ndim not in (3, 4):
         raise ValueError(f"input shape {x.shape} does not match spec {want}")
     if x.dtype != model.dtype:
-        x = x.astype(model.dtype)
+        if x.requires_grad:
+            raise ValueError(f"input is a {x.dtype} Tensor that requires grad, but the model "
+                             f"is {model.dtype}: a cast copy would get no gradient")
+        x = Tensor(x, dtype=model.dtype)
     if not np.isfinite(x.data).all():
         raise ValueError(f"input image has NaN or inf values at model dtype {x.dtype}")
     return x

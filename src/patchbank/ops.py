@@ -323,7 +323,9 @@ def conv2d(x: Tensor, weight: Tensor, stride: int = 1, pad: int = 0,
 
         gw = None
         if weight.requires_grad:
-            # Each image's product in its own row, then summed in batch order.
+            # Each image's product in its own row, then summed in batch order: NumPy
+            # adds the rows one after another, except for a one-element weight,
+            # whose column it sums pairwise.
             prods = np.empty((n,) + wmat.shape, dtype=np.result_type(g, xd))
             scratch = _per_thread(lambda: (masking(), lowering()))
 
@@ -332,10 +334,7 @@ def conv2d(x: Tensor, weight: Tensor, stride: int = 1, pad: int = 0,
                 np.matmul(grad(i, masks), lower(i, buffers).T, out=prods[i])
 
             parallel_for(n, image_wgrad)
-            gw = prods[0].copy()
-            for i in range(1, n):
-                gw += prods[i]
-            gw = gw.reshape(wd.shape)
+            gw = prods.sum(axis=0).reshape(wd.shape)
         if not x.requires_grad:
             return (None, gw)
         gx = np.empty_like(xb)
@@ -527,6 +526,8 @@ def cross_channel_avg_pool(x: Tensor, k: int) -> Tensor:
     """
     x = _as_tensor(x)
     xd = x.data
+    if xd.ndim < 1:
+        raise ValueError(f"cross_channel_avg_pool input must have >= 1 dim, got {x.shape}")
     check_int("group size", k, 1)
     d = xd.shape[-1]
     if d % k != 0:

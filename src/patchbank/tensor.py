@@ -68,9 +68,6 @@ class Tensor:
     def item(self) -> float:
         return float(self.data)
 
-    def astype(self, dtype) -> "Tensor":
-        return Tensor(self.data, requires_grad=self.requires_grad, dtype=dtype)
-
     def __array__(self, dtype=None, copy=None):
         """``data`` itself, unless ``copy`` is True or ``dtype`` differs.
 

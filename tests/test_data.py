@@ -208,7 +208,7 @@ class TestFolders:
         save_dataset(tmp_path, train, test)
         assert sorted(p.name for p in tmp_path.iterdir()) == ["test", "test.csv", "train",
                                                               "train.csv"]
-        back = load_folder(tmp_path / "train.csv", spec.image_size)
+        back = load_folder(tmp_path / "train.csv")
         assert len(back) == len(train)
         for orig, loaded in zip(train, back):
             assert loaded.label == orig.label
@@ -221,18 +221,24 @@ class TestFolders:
         train, _ = generate(small_spec(seed=8))
         train[1].truth_box = None
         save_dataset(tmp_path, train[:2], [])
-        back = load_folder(tmp_path / "train.csv", 16)
+        back = load_folder(tmp_path / "train.csv")
         assert [s.truth_box for s in back] == [train[0].truth_box, None]
+        # Each image comes back at the 24 px it was saved at, in its box's pixels.
+        for orig, loaded in zip(train, back):
+            assert loaded.image.shape == orig.image.shape == (3, 24, 24)
+            assert loaded.image.tobytes() == (np.rint(orig.image * 255) / 255).tobytes()
         assert (tmp_path / "test.csv").read_text() == "path,label,top,left,bottom,right\n"
 
     def test_empty_manifest(self, tmp_path):
         (tmp_path / "m.csv").write_text("path,label\n")
-        assert load_folder(tmp_path / "m.csv", 16) == []
+        assert load_folder(tmp_path / "m.csv") == []
 
     def test_blank_rows_skipped(self, tmp_path):
         save_ppm(tmp_path / "i.ppm", np.zeros((3, 2, 2)))
         (tmp_path / "m.csv").write_text("path,label\n\ni.ppm,1\n\n")
-        assert [s.label for s in load_folder(tmp_path / "m.csv", 2)] == [1]
+        loaded = load_folder(tmp_path / "m.csv")
+        assert [s.label for s in loaded] == [1]
+        assert loaded[0].truth_box is None  # a two-column manifest holds no boxes
 
     def test_row_count_matches_samples(self, tmp_path):
         train, test = generate(small_spec(seed=9))
@@ -240,26 +246,24 @@ class TestFolders:
         lines = (tmp_path / "test.csv").read_text().strip().split("\n")
         assert len(lines) == 1 + len(test)
 
-    def test_resize_nearest(self, tmp_path):
-        img = np.zeros((3, 2, 2))
-        img[:, 0, 0] = 1.0
-        save_ppm(tmp_path / "i.ppm", img)
-        (tmp_path / "m.csv").write_text("path,label\ni.ppm,0\n")
-        loaded = load_folder(tmp_path / "m.csv", 4)[0]
-        assert loaded.truth_box is None  # a two-column manifest holds no boxes
-        assert loaded.image.shape == (3, 4, 4)
-        np.testing.assert_array_equal(loaded.image[:, :2, :2], np.ones((3, 2, 2)))
+    def test_images_of_two_sizes_rejected(self, tmp_path):
+        save_ppm(tmp_path / "a.ppm", np.zeros((3, 2, 2)))
+        save_ppm(tmp_path / "b.ppm", np.zeros((3, 3, 3)))
+        (tmp_path / "m.csv").write_text("path,label\na.ppm,0\nb.ppm,1\n")
+        with pytest.raises(ValueError,
+                           match=r"m\.csv, row 3, path 'b\.ppm': image is 3x3, the first is 2x2"):
+            load_folder(tmp_path / "m.csv")
 
     def test_unreadable_file_rejected(self, tmp_path):
         (tmp_path / "m.csv").write_text("path,label\nmissing.ppm,0\n")
         with pytest.raises(OSError):
-            load_folder(tmp_path / "m.csv", 16)
+            load_folder(tmp_path / "m.csv")
 
     def test_negative_label_rejected(self, tmp_path):
         save_ppm(tmp_path / "i.ppm", np.zeros((3, 2, 2)))
         (tmp_path / "m.csv").write_text("path,label\ni.ppm,-1\n")
         with pytest.raises(ValueError, match="negative label"):
-            load_folder(tmp_path / "m.csv", 16)
+            load_folder(tmp_path / "m.csv")
 
     @pytest.mark.parametrize("row,message", [("i.ppm", "expected 'path,label'"),
                                              ("i.ppm,1.5", "label '1.5' is not an integer"),
@@ -269,7 +273,7 @@ class TestFolders:
         (tmp_path / "m.csv").write_text(f"path,label\ni.ppm,0\n{row}\n")
         # The message names the manifest, the row and the path.
         with pytest.raises(ValueError, match=rf"m\.csv, row 3, path 'i\.ppm': {message}"):
-            load_folder(tmp_path / "m.csv", 16)
+            load_folder(tmp_path / "m.csv")
 
 
 BOXED = "path,label,top,left,bottom,right\n"
@@ -312,27 +316,23 @@ def _manifest(directory, text):
     (lambda d: small_spec(noise=None), "noise must be a real number, got None"),
     (lambda d: small_spec(noise=True), "noise must be a real number, got True"),
     (lambda d: small_spec(tint_strength="0.2"), "tint_strength must be a real number, got '0.2'"),
-    (lambda d: load_folder(_manifest(d, "file,class\ni.ppm,0\n"), 16),
+    (lambda d: load_folder(_manifest(d, "file,class\ni.ppm,0\n")),
      r"m\.csv: expected 'path,label' header, got \['file', 'class'\]"),
-    (lambda d: load_folder(_manifest(d, "path,label,top\ni.ppm,0,1\n"), 16),
+    (lambda d: load_folder(_manifest(d, "path,label,top\ni.ppm,0,1\n")),
      r"m\.csv: expected 'path,label' header, got \['path', 'label', 'top'\]"),
-    (lambda d: load_folder(_manifest(d, BOXED + "i.ppm,0,1,2,3\n"), 16),
+    (lambda d: load_folder(_manifest(d, BOXED + "i.ppm,0,1,2,3\n")),
      r"m\.csv, row 2, path 'i\.ppm': box \['1', '2', '3'\]: .*missing 1 required positional "
      r"argument: 'right'"),
-    (lambda d: load_folder(_manifest(d, BOXED + "i.ppm,0,1,2,3,4,5\n"), 16),
+    (lambda d: load_folder(_manifest(d, BOXED + "i.ppm,0,1,2,3,4,5\n")),
      r"row 2, path 'i\.ppm': box \['1', '2', '3', '4', '5'\]: .*takes 5 positional arguments"),
-    (lambda d: load_folder(_manifest(d, BOXED + "i.ppm,0,a,0,1,1\n"), 16),
+    (lambda d: load_folder(_manifest(d, BOXED + "i.ppm,0,a,0,1,1\n")),
      r"row 2, path 'i\.ppm': box \['a', '0', '1', '1'\]: could not convert string to float"),
-    (lambda d: load_folder(_manifest(d, BOXED + "i.ppm,0,nan,0,1,1\n"), 16),
+    (lambda d: load_folder(_manifest(d, BOXED + "i.ppm,0,nan,0,1,1\n")),
      r"row 2, path 'i\.ppm': box \['nan', '0', '1', '1'\]: top must be finite, got nan"),
-    (lambda d: load_folder(_manifest(d, BOXED + "i.ppm,0,2,0,1,1\n"), 16),
+    (lambda d: load_folder(_manifest(d, BOXED + "i.ppm,0,2,0,1,1\n")),
      r"row 2, path 'i\.ppm': box \['2', '0', '1', '1'\]: degenerate box"),
-    (lambda d: load_folder(_manifest(d, BOXED + "i.ppm,0,0,,1,1\n"), 16),
+    (lambda d: load_folder(_manifest(d, BOXED + "i.ppm,0,0,,1,1\n")),
      r"row 2, path 'i\.ppm': box \['0', '', '1', '1'\]: could not convert string to float"),
-    (lambda d: load_folder(_manifest(d, "path,label\n"), 0), "image_size must be >= 1, got 0"),
-    (lambda d: load_folder(_manifest(d, "path,label\n"), -3), "image_size must be >= 1, got -3"),
-    (lambda d: load_folder(_manifest(d, "path,label\n"), 16.5),
-     "image_size must be an integer, got 16.5"),
     # math.isfinite raised a bare OverflowError on an int too large for a float.
     (lambda d: small_spec(noise=10**400), "noise must be finite, got an int too large"),
     (lambda d: small_spec(jitter=-10**400), "jitter must be finite, got an int too large"),
@@ -344,8 +344,7 @@ def _manifest(directory, text):
         "float-distractors", "bool-seed", "negative-seed", "none-noise", "bool-noise",
         "string-tint", "manifest-header", "manifest-box-header", "box-three-fields",
         "box-five-fields", "box-not-a-number", "box-nan", "box-degenerate", "box-empty-field",
-        "image-size-0",
-        "image-size-negative", "image-size-float", "huge-int-noise", "huge-int-jitter"])
+        "huge-int-noise", "huge-int-jitter"])
 def test_bad_input_rejected(tmp_path, call, message):
     with pytest.raises(ValueError, match=message):
         call(tmp_path)

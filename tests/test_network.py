@@ -212,6 +212,15 @@ class TestBuildModel:
         model = build_model(spec, bank_init=[bank], seed=0)
         np.testing.assert_array_equal(model.params["module0.conv6.weight"].data, bank.weight.data)
 
+    def test_f64_bank_rounded_once_into_an_f32_model(self):
+        spec = tinynet_spec(classes=4, filters_per_class=3)
+        bank = FilterBank(weight=Tensor(np.random.default_rng(5).standard_normal((12, 64, 1, 1))),
+                          classes=4, filters_per_class=3)
+        weight = build_model(spec, bank_init=[bank], seed=0, dtype="f32").params[
+            "module0.conv6.weight"].data
+        want = bank.weight.data.astype(np.float32)
+        assert weight.dtype == np.float32 and weight.tobytes() == want.tobytes()
+
     def test_bank_init_leaves_other_weights_unchanged(self):
         spec = tinynet_spec(classes=4, filters_per_class=3)
         bank = FilterBank(weight=Tensor(np.zeros((12, 64, 1, 1))), classes=4, filters_per_class=3)
@@ -305,7 +314,7 @@ class TestModelParams:
          r"got Tensor\(shape=\(8, 32, 1, 1\)"),
         (lambda p: p.update({"ghead.weight": np.ones((4, 64))}),
          r"param 'ghead.weight' does not match shape \(4, 64\) and dtype float64: got ndarray"),
-        (lambda p: p.update({"ghead.weight": p["ghead.weight"].astype("f32")}),
+        (lambda p: p.update({"ghead.weight": Tensor(p["ghead.weight"], True, "f32")}),
          r"param 'ghead.weight' does not match shape \(4, 64\) and dtype float64: "
          r"got Tensor\(shape=\(4, 64\), dtype=float32"),
         (lambda p: p["module0.phead.bias"].data.__setitem__(1, np.nan),
@@ -573,6 +582,25 @@ class TestForward:
                 run(x)
             with pytest.raises(ValueError, match="NaN or inf"):
                 run(x[1])
+
+    def test_input_of_another_dtype_that_requires_grad_rejected(self):
+        # A cast copy would be on no tape, so tape.grad(x) would be None.
+        model = build_model(tinynet_spec(classes=4, filters_per_class=2), seed=0)
+        x = Tensor(np.zeros((2, 3, 64, 64)), requires_grad=True, dtype="f32")
+        for run in (lambda im: forward(model, im), lambda im: tap_features(model, im, "block3")):
+            with pytest.raises(ValueError, match="input is a float32 Tensor that requires grad, "
+                                                 "but the model is float64"):
+                run(x)
+
+    @pytest.mark.parametrize("wrap", [np.asarray, Tensor], ids=["array", "tensor"])
+    def test_input_of_another_dtype_cast_to_the_model(self, wrap):
+        model = build_model(tinynet_spec(classes=4, filters_per_class=2), seed=0)
+        x = np.random.default_rng(3).random((2, 3, 64, 64)).astype(np.float32)
+        got, want = forward(model, wrap(x)), forward(model, x.astype(np.float64))
+        for a, b in zip(logit_streams(got), logit_streams(want)):
+            assert a.dtype == np.float64 and a.data.tobytes() == b.data.tobytes()
+        tap = tap_features(model, wrap(x), "block3").data
+        assert tap.tobytes() == tap_features(model, x.astype(np.float64), "block3").data.tobytes()
 
     def test_side_logits_depend_only_on_conv6_given_tap_features(self):
         # No learnable parameter sits between the side loss and conv6:

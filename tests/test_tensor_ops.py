@@ -216,6 +216,33 @@ class TestConv2d:
             if need_w:
                 assert gw.dtype == want_gw.dtype and gw.data.tobytes() == want_gw.tobytes()
 
+    @pytest.mark.parametrize("wshape", [(4, 3, 3, 3), (1, 1, 1, 1)], ids=["weight", "one-element"])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64], ids=["f32", "f64"])
+    def test_weight_grad_adds_images_in_batch_order(self, dtype, wshape):
+        rng = np.random.default_rng(5)
+        xd = rng.standard_normal((17, wshape[1], 7, 6)).astype(dtype)
+        wd = rng.standard_normal(wshape).astype(dtype)
+        pad = wshape[-1] // 2
+        g = rng.standard_normal((17, wshape[0], 7, 6)).astype(dtype)
+
+        def weight_grad(x, seed):
+            w = Tensor(wd, requires_grad=True)
+            with GradTape() as tape:
+                out = ops.conv2d(Tensor(x), w, pad=pad)
+            tape.backward(out, seed=seed)
+            return tape.grad(w).data
+
+        rows = [weight_grad(xd[i], g[i]) for i in range(17)]
+        want = rows[0].copy()
+        for row in rows[1:]:
+            want += row
+        got = weight_grad(xd, g)
+        if wshape != (1, 1, 1, 1):
+            assert got.tobytes() == want.tobytes()
+        else:  # NumPy sums a one-element weight's rows pairwise, not one after another.
+            bound = 17 * np.finfo(dtype).eps * np.abs(rows).sum()
+            np.testing.assert_allclose(got, want, rtol=0, atol=bound)
+
     def test_tape_keeps_one_image_of_columns(self):
         # Under a tape conv2d may keep, and at its peak hold, its output,
         # the padded input and one image's columns per worker plus one,
@@ -952,6 +979,8 @@ _MAP = np.ones((2, 4, 4))
     (lambda: ops.global_avg_pool(np.ones((4, 4))), "global_avg_pool input must have >= 3 dims"),
     (lambda: ops.cross_channel_avg_pool(np.ones(4), 0), "group size must be >= 1, got 0"),
     (lambda: ops.cross_channel_avg_pool(np.ones(6), 2.5), "group size must be an integer, got 2.5"),
+    (lambda: ops.cross_channel_avg_pool(np.float64(1.0), 1),
+     r"cross_channel_avg_pool input must have >= 1 dim, got \(\)"),
     (lambda: ops.fully_connected(np.ones(3), np.ones(3), np.ones(1)),
      r"fully_connected expects weight \(O,D\) and bias \(O,\)"),
     (lambda: ops.fully_connected(np.ones(3), np.ones((2, 3)), np.ones(3)),
@@ -962,6 +991,7 @@ _MAP = np.ones((2, 4, 4))
         "conv2d-bool-pad", "maxpool2d-rank", "maxpool2d-window", "maxpool2d-stride",
         "maxpool2d-fit", "maxpool2d-float-window", "maxpool2d-float-stride",
         "global_max_pool-rank", "global_avg_pool-rank", "cross_channel-k", "cross_channel-float-k",
+        "cross_channel-rank",
         "fc-param-ranks", "fc-bias", "softmax-labels"])
 def test_bad_input_rejected(call, message):
     with pytest.raises(ValueError, match=message):
