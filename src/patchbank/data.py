@@ -256,9 +256,18 @@ _MANIFEST_HEADER = ["path", "label", "top", "left", "bottom", "right"]
 
 def save_dataset(out_dir, train: list[Sample], test: list[Sample]) -> None:
     """Write PPM images and one `path,label,top,left,bottom,right` CSV manifest per
-    split; a sample without a truth box leaves its four box fields empty."""
+    split; a sample without a truth box leaves its four box fields empty.  Before any
+    file is written, each split is checked as ``load_folder`` will read it back: every
+    label a non-negative integer and every image the first one's shape."""
     out_dir = Path(out_dir)
-    for split, samples in (("train", train), ("test", test)):
+    splits = (("train", train), ("test", test))
+    for split, samples in splits:
+        for i, sample in enumerate(samples):
+            check_int(f"{split} sample {i} label", sample.label, 0)
+            shape, first = np.shape(sample.image), np.shape(samples[0].image)
+            if shape != first:
+                raise ValueError(f"{split} sample {i}: image shape {shape}, the first is {first}")
+    for split, samples in splits:
         (out_dir / split).mkdir(parents=True, exist_ok=True)
         with open(out_dir / f"{split}.csv", "w", newline="") as mf:
             writer = csv.writer(mf, lineterminator="\n")

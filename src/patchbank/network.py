@@ -28,6 +28,8 @@ from .tensor import Tensor, active_tape, resolve_dtype
 
 # Images per untaped backbone chunk; ``_run_backbone`` says why.
 BACKBONE_CHUNK = 4
+# Input channels: images are RGB, as ``data.Sample`` and the PPM files are.
+IN_CHANNELS = 3
 
 
 # One frozen type per layer kind; what a kind cannot vary is a ClassVar.
@@ -172,7 +174,6 @@ class ModelSpec:
     modules: tuple[DFLModuleSpec, ...]
     input_size: int
     classes: int
-    in_channels: int = 3
     pooling: str = "gmp"           # conv6 readout: "gmp" or "gap"
     fusion_g: float = 1.0
     fusion_p: float = 1.0          # per module
@@ -184,7 +185,7 @@ class ModelSpec:
         object.__setattr__(self, "modules", tuple(self.modules))
         if not self.modules:
             raise ValueError("at least one patch-detector module is required")
-        for name, least in (("input_size", 1), ("classes", 2), ("in_channels", 1)):
+        for name, least in (("input_size", 1), ("classes", 2)):
             check_int(name, getattr(self, name), least)
         if self.pooling not in ("gmp", "gap"):
             raise ValueError(f"pooling must be 'gmp' or 'gap', got {self.pooling!r}")
@@ -193,7 +194,7 @@ class ModelSpec:
         for m in self.modules:
             if m.tap not in self.backbone.taps:
                 raise ValueError(f"module tap {m.tap!r} is not a backbone tap")
-        feature_shapes(self.backbone, self.in_channels, self.input_size)
+        feature_shapes(self.backbone, IN_CHANNELS, self.input_size)
 
     def default_fusion_weights(self) -> np.ndarray:
         n = len(self.modules)
@@ -240,12 +241,12 @@ class StreamOutputs:
 
 def param_shapes(spec: ModelSpec) -> dict[str, tuple[int, ...]]:
     """Every parameter's name and shape, in the order ``build_model`` draws them."""
-    shapes = feature_shapes(spec.backbone, spec.in_channels, spec.input_size)
+    shapes = feature_shapes(spec.backbone, IN_CHANNELS, spec.input_size)
     m = spec.classes
     out: dict[str, tuple[int, ...]] = {}
     for i, layer in enumerate(spec.backbone.layers):
         if layer.kind == "conv":
-            c_in = shapes[i - 1][0] if i else spec.in_channels
+            c_in = shapes[i - 1][0] if i else IN_CHANNELS
             out[f"backbone.{i}.weight"] = (layer.out_channels, c_in, layer.kernel, layer.kernel)
     for mi, mod in enumerate(spec.modules):
         km = m * mod.filters_per_class
@@ -320,7 +321,7 @@ def build_model(spec: ModelSpec, bank_init=None, seed: int = 0, dtype="f64") -> 
 def _check_input(model: Model, image) -> Tensor:
     x = image if isinstance(image, Tensor) else Tensor(image)
     spec = model.spec
-    want = (spec.in_channels, spec.input_size, spec.input_size)
+    want = (IN_CHANNELS, spec.input_size, spec.input_size)
     if x.shape[-3:] != want or x.ndim not in (3, 4):
         raise ValueError(f"input shape {x.shape} does not match spec {want}")
     if x.dtype != model.dtype:
@@ -353,7 +354,7 @@ def _run_backbone(model: Model, x: Tensor, wanted: set[int]) -> dict[int, Tensor
     """
     if x.ndim == 4 and len(x.data) > BACKBONE_CHUNK and active_tape() is None:
         n = len(x.data)
-        shapes = feature_shapes(model.spec.backbone, model.spec.in_channels, model.spec.input_size)
+        shapes = feature_shapes(model.spec.backbone, IN_CHANNELS, model.spec.input_size)
         maps = {i: np.empty((n, *shapes[i]), x.dtype) for i in wanted}
 
         def run_chunk(c):

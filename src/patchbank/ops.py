@@ -13,11 +13,12 @@ only the gradients of inputs that require grad.
 
 ``conv2d`` and ``bank_peaks`` work one image at a time on each worker,
 so their scratch memory grows with the worker count, not the batch:
-``conv2d`` lowers each image into its worker's reused im2col column
-buffer, and its backward rebuilds an image's columns from x when it
-needs them instead of keeping the whole batch's.  The one exception is
-``conv2d``'s weight gradient, which keeps every image's product until
-all are made, so that it can sum them in batch order.
+``conv2d`` lowers each image into the im2col column buffer that its
+``parallel_for`` share made once and reuses, and its backward rebuilds
+an image's columns from x when it needs them instead of keeping the
+whole batch's.  The one exception is ``conv2d``'s weight gradient,
+which keeps every image's product until all are made, so that it can
+sum them in batch order.
 ``conv2d(..., relu=True)`` clamps each image's output in place and its
 backward masks each image's gradient from that output, so a conv and
 the ReLU after it keep one activation on the tape, not two; the
@@ -81,8 +82,8 @@ WORKERS = _pin_blas(Path(np.__file__).resolve().parent.parent / "numpy.libs")
 _inside = threading.local()  # .work is True on a thread while it runs a parallel_for's work
 
 
-def parallel_for(count: int, work) -> None:
-    """Call ``work(i)`` for each i in ``range(count)``, spread over ``WORKERS`` threads.
+def parallel_for(count: int, work, make=tuple) -> None:
+    """Call ``work(i, *buffers)`` for each i in ``range(count)``, spread over ``WORKERS`` threads.
 
     The calling thread and one plain thread per further share each claim
     the lowest i not yet claimed until none is left, so a thread that the
@@ -92,19 +93,24 @@ def parallel_for(count: int, work) -> None:
     and the caller's cores are restored after it: left free, the
     scheduler at times stacks two threads that wake each other (here
     through the GIL) on one core, and the call then runs serially.  Each
-    ``work(i)`` must touch only its own part of any shared output.  Every
-    thread is joined before this returns, and the first exception a
-    helper thread raised is re-raised here.
+    ``work`` call must touch only its own part of any shared output.
+    Every thread is joined before this returns, and the first exception a
+    helper thread raised is re-raised here.  Each share calls ``make()``
+    once, after its thread is held to its core, and hands the tuple to
+    each of its ``work`` calls, so a kernel's scratch is made per share
+    and reused over its images; the default passes none.
 
-    A call made inside another call's ``work`` runs every index in order
-    on its calling thread, starts no thread and leaves that thread's cores
-    as they are: the outer call already keeps every worker busy.  So a
-    ``conv2d`` inside an untaped backbone chunk runs its images serially,
-    while a taped ``conv2d``, called from no worker, spreads them.
+    A call made inside another call's ``work`` runs as one share: every
+    index in order on its calling thread, with no thread started and that
+    thread's cores left as they are, since the outer call already keeps
+    every worker busy.  So a ``conv2d`` inside an untaped backbone chunk
+    runs its images serially, while a taped ``conv2d``, called from no
+    worker, spreads them.
     """
     if getattr(_inside, "work", False):
+        buffers = make()
         for i in range(count):
-            work(i)
+            work(i, *buffers)
         return
     shares = min(WORKERS, count)
     cores = []
@@ -119,12 +125,13 @@ def parallel_for(count: int, work) -> None:
         _inside.work = True
         if pinned:
             os.sched_setaffinity(0, {cores[s]})  # 0 is the calling thread
+        buffers = make()
         while True:
             with claim:
                 i = next(indices, None)
             if i is None:
                 return
-            work(i)
+            work(i, *buffers)
 
     def run_helper(s):
         try:
@@ -145,22 +152,6 @@ def parallel_for(count: int, work) -> None:
             os.sched_setaffinity(0, cores)
     if errors:
         raise errors[0]
-
-
-def _per_thread(make):
-    """A function that returns the calling thread's own ``make()``, made on its first call.
-
-    A kernel makes one per ``parallel_for`` pass, so each worker of the
-    pass reuses its own scratch buffers over the images it claims."""
-    made = {}
-
-    def mine():
-        me = threading.get_ident()
-        if me not in made:
-            made[me] = make()
-        return made[me]
-
-    return mine
 
 
 def _record(inputs, out: Tensor, backward) -> Tensor:
@@ -236,11 +227,11 @@ def conv2d(x: Tensor, weight: Tensor, stride: int = 1, pad: int = 0,
 
     x: (C_in, H, W), weight: (C_out, C_in, kh, kw) -> (C_out, H', W') with
     H' = floor((H + 2*pad - kh)/stride) + 1 and likewise for W'.  The
-    images are spread over ``parallel_for``'s workers.  Each image is
-    zero-padded and lowered on its own into its worker's reused
+    images are spread over ``parallel_for``'s shares.  Each image is
+    zero-padded and lowered on its own into its share's reused
     (C_in*kh*kw, H'*W') column buffer, which the (C_out, C_in*kh*kw)
     weight matrix multiplies, so one padded copy and one column buffer
-    per worker, at most min(``WORKERS``, N) of each, are all that exist
+    per share, at most min(``WORKERS``, N) of each, are all that exist
     at a time, and the tape keeps none.  With ``relu`` each image's
     product is clamped in place, giving the bytes of ``relu(conv2d(...))``
     with one taped activation instead of two.
@@ -251,7 +242,7 @@ def conv2d(x: Tensor, weight: Tensor, stride: int = 1, pad: int = 0,
     in batch order, and each image's column gradient is scattered back
     over its windows.  Under ``relu`` each image's gradient is first
     masked by ``out > 0``, which equals the pre-activation's ``> 0`` for
-    every value, -0.0 and NaN included, into its worker's reused buffer,
+    every value, -0.0 and NaN included, into its share's reused buffer,
     so no batch-wide mask or masked gradient exists.
     """
     x, weight = _as_tensor(x), _as_tensor(weight)
@@ -285,23 +276,21 @@ def conv2d(x: Tensor, weight: Tensor, stride: int = 1, pad: int = 0,
         win = sliding_window_view(xpad, (kh, kw), axis=(1, 2))[:, ::stride, ::stride]
         return xpad, win.transpose(0, 3, 4, 1, 2), np.empty((ci * kh * kw, ho * wo), dtype=xd.dtype)
 
-    def lower(i, buffers):
-        """Image i's columns, in ``buffers``, one thread's ``lowering()``."""
-        xpad, win, cols = buffers
+    def lower(i, xpad, win, cols):
+        """Image i's columns, in one share's ``lowering()`` buffers."""
         xpad[inner] = xb[i]
         np.copyto(cols.reshape(win.shape), win)
         return cols
 
     wmat = wd.reshape(co, ci * kh * kw)
     res = np.empty((n, co, ho * wo), dtype=np.result_type(xd, wd))
-    lowerings = _per_thread(lowering)
 
-    def image(i):
-        np.matmul(wmat, lower(i, lowerings()), out=res[i])
+    def image(i, *lowered):
+        np.matmul(wmat, lower(i, *lowered), out=res[i])
         if relu:
             np.maximum(res[i], 0, out=res[i])
 
-    parallel_for(n, image)
+    parallel_for(n, image, lowering)
     out = Tensor(res.reshape(xd.shape[:-3] + (co, ho, wo)))
 
     def backward(g):
@@ -309,13 +298,13 @@ def conv2d(x: Tensor, weight: Tensor, stride: int = 1, pad: int = 0,
 
         def masking():
             if not relu:
-                return None
+                return ()
             return np.empty((co, ho * wo), dtype=bool), np.empty((co, ho * wo), dtype=g.dtype)
 
         # Each pass below masks an image as it reaches it: two passes that
         # stay in cache measured faster than one pass doing both products.
-        def grad(i, masks):
-            """Image i's output gradient, masked under ``relu`` into ``masks``."""
+        def grad(i, *masks):
+            """Image i's output gradient, masked under ``relu`` into ``masking()``'s buffers."""
             if not relu:
                 return gmat[i]
             live, gmasked = masks
@@ -327,22 +316,18 @@ def conv2d(x: Tensor, weight: Tensor, stride: int = 1, pad: int = 0,
             # adds the rows one after another, except for a one-element weight,
             # whose column it sums pairwise.
             prods = np.empty((n,) + wmat.shape, dtype=np.result_type(g, xd))
-            scratch = _per_thread(lambda: (masking(), lowering()))
 
-            def image_wgrad(i):
-                masks, buffers = scratch()
-                np.matmul(grad(i, masks), lower(i, buffers).T, out=prods[i])
+            def image_wgrad(i, xpad, win, cols, *masks):
+                np.matmul(grad(i, *masks), lower(i, xpad, win, cols).T, out=prods[i])
 
-            parallel_for(n, image_wgrad)
+            parallel_for(n, image_wgrad, lambda: lowering() + masking())
             gw = prods.sum(axis=0).reshape(wd.shape)
         if not x.requires_grad:
             return (None, gw)
         gx = np.empty_like(xb)
-        scratch = _per_thread(lambda: (masking(), np.empty(padded, dtype=xd.dtype)))
 
-        def image_grad(i):
-            masks, dpad = scratch()
-            dcols = np.matmul(wmat.T, grad(i, masks)).reshape(ci, kh, kw, ho, wo)
+        def image_grad(i, dpad, *masks):
+            dcols = np.matmul(wmat.T, grad(i, *masks)).reshape(ci, kh, kw, ho, wo)
             dpad.fill(0)
             for a in range(kh):
                 for b in range(kw):
@@ -351,7 +336,7 @@ def conv2d(x: Tensor, weight: Tensor, stride: int = 1, pad: int = 0,
                     ]
             gx[i] = dpad[inner]
 
-        parallel_for(n, image_grad)
+        parallel_for(n, image_grad, lambda: (np.empty(padded, dtype=xd.dtype),) + masking())
         return (gx.reshape(xd.shape), gw)
 
     return _record((x, weight), out, backward)

@@ -254,6 +254,25 @@ class TestFolders:
                            match=r"m\.csv, row 3, path 'b\.ppm': image is 3x3, the first is 2x2"):
             load_folder(tmp_path / "m.csv")
 
+    @pytest.mark.parametrize("test,message", [
+        ([Sample(np.zeros((3, 4, 4)), 0), Sample(np.zeros((3, 5, 5)), 1)],
+         r"test sample 1: image shape \(3, 5, 5\), the first is \(3, 4, 4\)"),
+        ([Sample(np.zeros((3, 4, 4)), -1)], "test sample 0 label must be >= 0, got -1"),
+        ([Sample(np.zeros((3, 4, 4)), 1.5)], "test sample 0 label must be an integer, got 1.5"),
+        ([Sample(np.zeros((3, 4, 4)), True)], "test sample 0 label must be an integer, got True"),
+    ], ids=["two-sizes", "negative-label", "float-label", "bool-label"])
+    def test_save_rejects_what_load_would_refuse(self, tmp_path, test, message):
+        # load_folder would refuse each of these splits, so save_dataset refuses it first.
+        train = [Sample(np.zeros((3, 6, 6)), 0)]
+        with pytest.raises(ValueError, match=message):
+            save_dataset(tmp_path / "out", train, test)
+        assert not (tmp_path / "out").exists()  # checked before any file is written
+
+    def test_splits_may_differ_in_size(self, tmp_path):
+        # load_folder reads one manifest at a time, so only a split's own images must agree.
+        save_dataset(tmp_path, [Sample(np.zeros((3, 4, 4)), 0)], [Sample(np.zeros((3, 5, 5)), 1)])
+        assert load_folder(tmp_path / "test.csv")[0].image.shape == (3, 5, 5)
+
     def test_unreadable_file_rejected(self, tmp_path):
         (tmp_path / "m.csv").write_text("path,label\nmissing.ppm,0\n")
         with pytest.raises(OSError):

@@ -433,11 +433,10 @@ class TestForward:
             modules=(DFLModuleSpec(tap="t", filters_per_class=1),),
             input_size=2,
             classes=2,
-            in_channels=2,
         )
         model = build_model(spec, seed=9)
         rng = np.random.default_rng(10)
-        x = rng.standard_normal((2, 2, 2))
+        x = rng.standard_normal((3, 2, 2))
         outs = forward(model, x)
         g, p, side, peaks = hand_trace(
             x,
@@ -896,6 +895,75 @@ class TestWorkers:
         ops.parallel_for(len(cores) + 1, lambda i: held.update({i: os.sched_getaffinity(0)}))
         assert all(m == cores for m in held.values()) and os.sched_getaffinity(0) == cores
 
+    def test_make_runs_once_per_share(self, monkeypatch):
+        monkeypatch.setattr(ops, "WORKERS", 2)
+        made, ran, lock = {}, [], threading.Lock()
+        both = threading.Barrier(2, timeout=60)  # so each share claims an index
+
+        def make():
+            me = threading.get_ident()
+            with lock:
+                assert me not in made
+                made[me] = (object(), os.sched_getaffinity(0) if self.CORES else None)
+            return made[me][0], "second"
+
+        def work(i, buffer, second):
+            with lock:
+                ran.append((i, threading.get_ident(), buffer, second))
+            if i < 2:
+                both.wait()
+
+        ops.parallel_for(6, work, make)
+        assert sorted(i for i, _, _, _ in ran) == list(range(6))
+        assert len(made) == 2 and threading.get_ident() in made
+        # Every call of a share gets the buffers its own make() returned.
+        assert all(buffer is made[t][0] and second == "second" for _, t, buffer, second in ran)
+        if len(self.CORES) >= 2:  # made after the share's thread was held to its core
+            assert all(len(cores) == 1 for _, cores in made.values())
+
+    @pytest.mark.parametrize("nested", [False, True])
+    def test_one_share_runs_make_once(self, monkeypatch, nested):
+        # A nested call runs as one share, as does every call at one worker.
+        monkeypatch.setattr(ops, "WORKERS", 2 if nested else 1)
+        calls, lock = [], threading.Lock()
+
+        def one_call(_=None):
+            made, ran = [], []
+
+            def make():
+                made.append(object())
+                return (made[-1],)
+
+            ops.parallel_for(5, lambda i, buffer: ran.append((i, buffer, threading.get_ident())),
+                             make)
+            with lock:
+                calls.append((made, ran))
+
+        if nested:
+            ops.parallel_for(2, one_call)
+        else:
+            one_call()
+        assert len(calls) == (2 if nested else 1)
+        for made, ran in calls:
+            assert len(made) == 1
+            assert [(i, buffer) for i, buffer, _ in ran] == [(i, made[0]) for i in range(5)]
+            assert len({t for _, _, t in ran}) == 1
+
+    def test_make_exception_in_a_helper_reaches_caller(self, monkeypatch):
+        monkeypatch.setattr(ops, "WORKERS", 2)
+        caller, done = threading.get_ident(), []
+
+        def make():
+            if threading.get_ident() != caller:
+                raise KeyError("make in a helper")
+            return ()
+
+        before = threading.active_count()
+        with pytest.raises(KeyError, match="make in a helper"):
+            ops.parallel_for(6, done.append, make)
+        # The helper claimed nothing, so the caller ran every index; both were joined.
+        assert done == list(range(6)) and threading.active_count() == before
+
     def test_one_worker_without_a_blas_setter(self, tmp_path):
         assert ops._pin_blas(tmp_path) == 1
 
@@ -1048,8 +1116,11 @@ class TestSpecValidation:
 
     def test_interfaces_have_one_name_per_fact(self):
         assert [f.name for f in dataclasses.fields(ModelSpec)] == [
-            "backbone", "modules", "input_size", "classes", "in_channels", "pooling",
+            "backbone", "modules", "input_size", "classes", "pooling",
             "fusion_g", "fusion_p", "fusion_side"]
+        # Images are RGB throughout (data.Sample, the PPM files), so the channel
+        # count is one constant, not a spec field.
+        assert network.IN_CHANNELS == 3
         assert [f.name for f in dataclasses.fields(StreamOutputs)] == [
             "g_logits", "p_logits", "side_logits", "peak_values", "peak_argmax"]
         assert list(inspect.signature(tinynet_spec).parameters) == [
@@ -1130,9 +1201,6 @@ class TestSpecValidation:
         (ValueError, lambda: tinynet_spec(2.5), "classes must be an integer, got 2.5"),
         (ValueError, lambda: tinynet_spec(True), "classes must be an integer, got True"),
         (ValueError, lambda: tinynet_spec(3, 2, 16.5), "input_size must be an integer, got 16.5"),
-        (ValueError, lambda: tiny_model_spec(in_channels=0), "in_channels must be >= 1, got 0"),
-        (ValueError, lambda: tiny_model_spec(in_channels=3.0),
-         "in_channels must be an integer, got 3.0"),
         (ValueError, lambda: build_model(tinynet_spec(4), seed=2.5),
          "seed must be an integer, got 2.5"),
         (ValueError, lambda: build_model(tinynet_spec(4), seed=-1), "seed must be >= 0, got -1"),
@@ -1168,7 +1236,7 @@ class TestSpecValidation:
             "float-kernel",
             "bool-kernel", "float-out-channels", "float-stride", "float-pad", "float-tap-index",
             "float-filters", "float-classes", "bool-classes", "float-input-size",
-            "no-in-channels", "float-in-channels", "float-seed", "negative-seed", "bool-seed",
+            "float-seed", "negative-seed", "bool-seed",
             "ndarray-bank-weight", "nan-bank-weight", "ndarray-bank-init", "relu-first",
             "relu-after-pool", "relu-after-relu", "tap-before-relu", "not-a-layer",
             "string-fusion-g", "none-fusion-p", "bool-fusion-side"])
