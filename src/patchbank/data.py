@@ -1,13 +1,13 @@
 """Synthetic fine-grained datasets with planted discriminative patches.
 
-Each image is a shared-family low-frequency background plus a small
-class-specific striped patch at a jittered location, plus distractor
-patches drawn from the same visual family with random (class-uninformative)
-parameters.  Global appearance carries only a weak cue: the background is
-tinted toward the label's tint color with probability ``cue_reliability``
-and toward a random other class otherwise.  The planted patch rectangle is
-recorded per sample as ground truth for localization oracles; it is never
-an input to training.
+Each image is a shared-family low-frequency background (``BACKGROUND_AMPLITUDE``)
+plus a small class-specific striped patch anywhere in the image, plus
+``DISTRACTORS`` patches of the same visual family with random
+(class-uninformative) parameters, plus gaussian pixel noise (``NOISE``).  Global
+appearance carries only a weak cue: the background is tinted (``TINT_STRENGTH``)
+toward the label's tint color with probability ``cue_reliability`` and toward a
+random other class otherwise.  The planted patch rectangle is recorded per sample
+as ground truth for localization oracles; it is never an input to training.
 """
 
 from __future__ import annotations
@@ -21,7 +21,12 @@ import numpy as np
 
 from .boxes import Box
 from .checks import check_int, check_real
-from .imageio import load_ppm, save_ppm
+from .imageio import load_ppm, ppm_bytes
+
+NOISE = 0.02                  # per-pixel gaussian sigma
+BACKGROUND_AMPLITUDE = 0.22   # swing of the grey background field
+TINT_STRENGTH = 0.18          # how far the tint moves the background color
+DISTRACTORS = 3               # uninformative patches per image
 
 
 @dataclass(frozen=True)
@@ -52,29 +57,23 @@ def default_signatures(classes: int, patch_contrast: float) -> tuple[PatchSignat
 
 @dataclass(frozen=True)
 class SynthSpec:
+    """What a dataset varies; NOISE, BACKGROUND_AMPLITUDE, TINT_STRENGTH, DISTRACTORS don't."""
     classes: int = 8
     per_class_train: int = 40
     per_class_test: int = 20
     image_size: int = 64
     patch_size: int = 12
-    jitter: float = 1.0              # 0 = fixed central placement, 1 = anywhere
-    noise: float = 0.02              # per-pixel gaussian sigma
     cue_reliability: float = 0.75    # probability the tint matches the label
-    tint_strength: float = 0.18
-    background_amplitude: float = 0.22
-    distractors: int = 3
     neutral_patch_rate: float = 0.15  # probability the class patch is replaced
     patch_contrast: float = 1.0
     seed: int = 0
 
     def __post_init__(self):
-        for name, least, most in (("jitter", 0, 1), ("noise", 0, None), ("cue_reliability", 0, 1),
-                                  ("tint_strength", None, None),
-                                  ("background_amplitude", None, None),
-                                  ("neutral_patch_rate", 0, 1), ("patch_contrast", None, None)):
+        for name, least, most in (("cue_reliability", 0, 1), ("neutral_patch_rate", 0, 1),
+                                  ("patch_contrast", None, None)):
             check_real(name, getattr(self, name), least, most)
         for name, least in (("classes", 1), ("per_class_train", 0), ("per_class_test", 0),
-                            ("image_size", 2), ("patch_size", 1), ("distractors", 0), ("seed", 0)):
+                            ("image_size", 2), ("patch_size", 1), ("seed", 0)):
             check_int(name, getattr(self, name), least)
         if self.patch_size >= self.image_size:
             raise ValueError("patch_size must be smaller than image_size")
@@ -117,8 +116,9 @@ def _place(rng: np.random.Generator, spec: SynthSpec) -> tuple[int, int]:
     top_max = spec.image_size - spec.patch_size
     center = top_max // 2
     u, v = rng.random(2)
-    top = int(round(center + spec.jitter * (u * top_max - center)))
-    left = int(round(center + spec.jitter * (v * top_max - center)))
+    # Not ``u * top_max``: that is not shown to round as the seeded images did.
+    top = int(round(center + (u * top_max - center)))
+    left = int(round(center + (v * top_max - center)))
     return min(max(top, 0), top_max), min(max(left, 0), top_max)
 
 
@@ -190,7 +190,7 @@ def _render_sample(spec: SynthSpec, tables: _Tables, split: str, index: int,
 
     # Shared-family background: a low-frequency field, equally likely for
     # every class, tinted toward a (possibly corrupted) class color.
-    field = _background(rng.random((5, 5)), tables, spec.background_amplitude)
+    field = _background(rng.random((5, 5)), tables, BACKGROUND_AMPLITUDE)
 
     tint_label = label
     if rng.random() >= spec.cue_reliability and spec.classes > 1:
@@ -200,11 +200,11 @@ def _render_sample(spec: SynthSpec, tables: _Tables, split: str, index: int,
     # Into a fresh buffer: returning ``field + tint`` instead left the heap
     # pinned after the images were freed, +5.8 MiB peak RSS on bank_init.
     image = np.empty((3, s, s))
-    np.add(field, spec.tint_strength * (tint - 0.5), out=image)
+    np.add(field, TINT_STRENGTH * (tint - 0.5), out=image)
 
     # Distractors: same visual family, random class-uninformative parameters.
     p = spec.patch_size
-    for _ in range(spec.distractors):
+    for _ in range(DISTRACTORS):
         sig = PatchSignature(
             color=colorsys.hsv_to_rgb(rng.random(), 0.95, 1.0),
             angle=float(rng.random() * np.pi),
@@ -222,8 +222,7 @@ def _render_sample(spec: SynthSpec, tables: _Tables, split: str, index: int,
     else:
         image[:, top : top + p, left : left + p] = render_patch(tables.signatures[label], p)
 
-    if spec.noise > 0:
-        image += rng.normal(0.0, spec.noise, size=image.shape)
+    image += rng.normal(0.0, NOISE, size=image.shape)
     np.clip(image, 0.0, 1.0, out=image)
     return Sample(image=image, label=label,
                   truth_box=Box(float(top), float(left), float(top + p), float(left + p)))
@@ -258,15 +257,19 @@ def save_dataset(out_dir, train: list[Sample], test: list[Sample]) -> None:
     """Write PPM images and one `path,label,top,left,bottom,right` CSV manifest per
     split; a sample without a truth box leaves its four box fields empty.  Before any
     file is written, each split is checked as ``load_folder`` will read it back: every
-    label a non-negative integer and every image the first one's shape."""
+    label a non-negative integer, every image the first one's shape, and every image
+    one that ``save_ppm`` accepts (3 channels, finite values)."""
     out_dir = Path(out_dir)
     splits = (("train", train), ("test", test))
+    files = {}
     for split, samples in splits:
         for i, sample in enumerate(samples):
             check_int(f"{split} sample {i} label", sample.label, 0)
             shape, first = np.shape(sample.image), np.shape(samples[0].image)
             if shape != first:
                 raise ValueError(f"{split} sample {i}: image shape {shape}, the first is {first}")
+            rel = f"{split}/{i:05d}.ppm"
+            files[rel] = ppm_bytes(out_dir / rel, sample.image)
     for split, samples in splits:
         (out_dir / split).mkdir(parents=True, exist_ok=True)
         with open(out_dir / f"{split}.csv", "w", newline="") as mf:
@@ -274,7 +277,7 @@ def save_dataset(out_dir, train: list[Sample], test: list[Sample]) -> None:
             writer.writerow(_MANIFEST_HEADER)
             for i, sample in enumerate(samples):
                 rel = f"{split}/{i:05d}.ppm"
-                save_ppm(out_dir / rel, sample.image)
+                (out_dir / rel).write_bytes(files[rel])
                 b = sample.truth_box
                 box = ["", "", "", ""] if b is None else [b.top, b.left, b.bottom, b.right]
                 writer.writerow([rel, sample.label, *box])

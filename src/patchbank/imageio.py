@@ -44,9 +44,10 @@ def _read(path, magic: bytes, channels: int) -> np.ndarray:
     return pixels.transpose(2, 0, 1).astype(np.float64) / 255.0
 
 
-def _write(path, magic: str, image: np.ndarray, normalize: bool = False) -> None:
-    """Write (H, W, channels) values in [0, 1], clipped, as maxval-255 bytes after a
-    ``magic`` header; ``normalize`` first min-max scales the values to [0, 1]."""
+def _encode(path, magic: str, image: np.ndarray, normalize: bool = False) -> bytes:
+    """The file that holds (H, W, channels) values in [0, 1], clipped, as maxval-255
+    bytes after a ``magic`` header; ``normalize`` first min-max scales the values to
+    [0, 1].  ``path`` only names the file in errors."""
     # The u8 cast would write NaN as 0 and inf as 255 without an error.
     if not np.isfinite(image).all():
         raise ValueError(f"{path}: image has NaN or inf values")
@@ -58,7 +59,7 @@ def _write(path, magic: str, image: np.ndarray, normalize: bool = False) -> None
         image = (image - lo) / (hi - lo) if hi > lo else np.zeros_like(image)
     pixels = np.clip(np.rint(image * 255.0), 0, 255).astype(np.uint8)
     h, w = pixels.shape[:2]
-    Path(path).write_bytes(f"{magic}\n{w} {h}\n255\n".encode("ascii") + pixels.tobytes())
+    return f"{magic}\n{w} {h}\n255\n".encode("ascii") + pixels.tobytes()
 
 
 def load_ppm(path) -> np.ndarray:
@@ -66,12 +67,17 @@ def load_ppm(path) -> np.ndarray:
     return _read(path, b"P6", 3)
 
 
-def save_ppm(path, image: np.ndarray) -> None:
-    """Write a (3, H, W) array with values in [0, 1] as binary P6 PPM."""
+def ppm_bytes(path, image: np.ndarray) -> bytes:
+    """The bytes ``save_ppm(path, image)`` writes, after the same checks; none written."""
     image = np.asarray(image)
     if image.ndim != 3 or image.shape[0] != 3:
-        raise ValueError(f"expected a (3, H, W) image, got shape {image.shape}")
-    _write(path, "P6", image.transpose(1, 2, 0))
+        raise ValueError(f"{path}: expected a (3, H, W) image, got shape {image.shape}")
+    return _encode(path, "P6", image.transpose(1, 2, 0))
+
+
+def save_ppm(path, image: np.ndarray) -> None:
+    """Write a (3, H, W) array with values in [0, 1] as binary P6 PPM."""
+    Path(path).write_bytes(ppm_bytes(path, image))
 
 
 def load_pgm(path) -> np.ndarray:
@@ -88,4 +94,4 @@ def save_pgm(path, image: np.ndarray, normalize: bool = False) -> None:
     image = np.asarray(image, dtype=np.float64)
     if image.ndim != 2:
         raise ValueError(f"expected an (H, W) image, got shape {image.shape}")
-    _write(path, "P5", image[:, :, None], normalize)
+    Path(path).write_bytes(_encode(path, "P5", image[:, :, None], normalize))

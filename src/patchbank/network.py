@@ -130,9 +130,9 @@ def receptive_field(spec: BackboneSpec, tap: str) -> ReceptiveFieldInfo:
     return ReceptiveFieldInfo(size=size, stride=jump, offset=offset)
 
 
-def feature_shapes(spec: BackboneSpec, in_channels: int, input_size: int) -> list[tuple[int, int, int]]:
-    """(C, H, W) after each backbone layer for a square input."""
-    c, h, w = in_channels, input_size, input_size
+def feature_shapes(spec: BackboneSpec, input_size: int) -> list[tuple[int, int, int]]:
+    """(C, H, W) after each backbone layer for a square ``IN_CHANNELS`` input."""
+    c, h, w = IN_CHANNELS, input_size, input_size
     out = []
     for layer in spec.layers:
         h = (h + 2 * layer.pad - layer.kernel) // layer.stride + 1
@@ -194,7 +194,7 @@ class ModelSpec:
         for m in self.modules:
             if m.tap not in self.backbone.taps:
                 raise ValueError(f"module tap {m.tap!r} is not a backbone tap")
-        feature_shapes(self.backbone, IN_CHANNELS, self.input_size)
+        feature_shapes(self.backbone, self.input_size)
 
     def default_fusion_weights(self) -> np.ndarray:
         n = len(self.modules)
@@ -241,7 +241,7 @@ class StreamOutputs:
 
 def param_shapes(spec: ModelSpec) -> dict[str, tuple[int, ...]]:
     """Every parameter's name and shape, in the order ``build_model`` draws them."""
-    shapes = feature_shapes(spec.backbone, IN_CHANNELS, spec.input_size)
+    shapes = feature_shapes(spec.backbone, spec.input_size)
     m = spec.classes
     out: dict[str, tuple[int, ...]] = {}
     for i, layer in enumerate(spec.backbone.layers):
@@ -354,7 +354,7 @@ def _run_backbone(model: Model, x: Tensor, wanted: set[int]) -> dict[int, Tensor
     """
     if x.ndim == 4 and len(x.data) > BACKBONE_CHUNK and active_tape() is None:
         n = len(x.data)
-        shapes = feature_shapes(model.spec.backbone, IN_CHANNELS, model.spec.input_size)
+        shapes = feature_shapes(model.spec.backbone, model.spec.input_size)
         maps = {i: np.empty((n, *shapes[i]), x.dtype) for i in wanted}
 
         def run_chunk(c):

@@ -107,12 +107,8 @@ def parallel_for(count: int, work, make=tuple) -> None:
     runs its images serially, while a taped ``conv2d``, called from no
     worker, spreads them.
     """
-    if getattr(_inside, "work", False):
-        buffers = make()
-        for i in range(count):
-            work(i, *buffers)
-        return
-    shares = min(WORKERS, count)
+    nested = getattr(_inside, "work", False)
+    shares = 1 if nested else min(WORKERS, count)
     cores = []
     if shares > 1 and hasattr(os, "sched_getaffinity"):
         cores = sorted(os.sched_getaffinity(0))
@@ -145,7 +141,7 @@ def parallel_for(count: int, work, make=tuple) -> None:
     try:
         run(0)
     finally:
-        _inside.work = False
+        _inside.work = nested
         for t in helpers:
             t.join()
         if pinned:

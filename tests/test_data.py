@@ -7,7 +7,11 @@ import pytest
 
 from patchbank.boxes import Box
 from patchbank.data import (
+    BACKGROUND_AMPLITUDE,
+    DISTRACTORS,
     NEUTRAL_SIGNATURE,
+    NOISE,
+    TINT_STRENGTH,
     PatchSignature,
     Sample,
     SynthSpec,
@@ -56,17 +60,17 @@ def render_sample_reference(spec, signatures, split, index, label):
     fy, fx = frac[:, None], frac[None, :]
     fieldmap = (g00 * (1 - fy) * (1 - fx) + g10 * fy * (1 - fx)
                 + g01 * (1 - fy) * fx + g11 * fy * fx)
-    image = np.repeat((0.45 + spec.background_amplitude * (fieldmap - 0.5))[None], 3, axis=0)
+    image = np.repeat((0.45 + BACKGROUND_AMPLITUDE * (fieldmap - 0.5))[None], 3, axis=0)
 
     tint_label = label
     if rng.random() >= spec.cue_reliability and spec.classes > 1:
         others = [c for c in range(spec.classes) if c != label]
         tint_label = int(rng.choice(others))
     tint = spec.tint_color(tint_label).reshape(3, 1, 1)
-    image += spec.tint_strength * (tint - 0.5)
+    image += TINT_STRENGTH * (tint - 0.5)
 
     p = spec.patch_size
-    for _ in range(spec.distractors):
+    for _ in range(DISTRACTORS):
         sig = PatchSignature(
             color=colorsys.hsv_to_rgb(rng.random(), 0.95, 1.0),
             angle=float(rng.random() * np.pi),
@@ -84,8 +88,7 @@ def render_sample_reference(spec, signatures, split, index, label):
         sig = NEUTRAL_SIGNATURE
     image[:, top : top + p, left : left + p] = render_patch_reference(sig, p)
 
-    if spec.noise > 0:
-        image += rng.normal(0.0, spec.noise, size=image.shape)
+    image += rng.normal(0.0, NOISE, size=image.shape)
     np.clip(image, 0.0, 1.0, out=image)
     return Sample(image=image, label=label,
                   truth_box=Box(float(top), float(left), float(top + p), float(left + p)))
@@ -131,16 +134,8 @@ class TestGenerate:
         b, _ = generate(small_spec(seed=2))
         assert any(x.image.tobytes() != y.image.tobytes() for x, y in zip(a, b))
 
-    def test_degenerate_spec_identical_within_class(self):
-        spec = small_spec(jitter=0.0, noise=0.0, background_amplitude=0.0,
-                          distractors=0, neutral_patch_rate=0.0, cue_reliability=1.0)
-        train, _ = generate(spec)
-        for c in range(3):
-            images = [s.image.tobytes() for s in train if s.label == c]
-            assert len(set(images)) == 1
-
     def test_pixels_in_unit_interval(self):
-        train, test = generate(small_spec(seed=5, noise=0.1))
+        train, test = generate(small_spec(seed=5))
         for s in train + test:
             assert s.image.min() >= 0.0 and s.image.max() <= 1.0
 
@@ -176,19 +171,18 @@ class TestGenerate:
             assert (render_patch(sig, size, phase).tobytes()
                     == render_patch_reference(sig, size, phase).tobytes())
 
-    # Together these reach every branch of the generator: noise 0 and > 0,
-    # distractors 0 and 3, neutral patch never and always, tint always
-    # wrong and always right, jitter 0 and 1, odd sizes, 1 and 200 classes.
+    # Together these reach every branch of the generator: neutral patch
+    # never and always, tint always wrong and always right, odd sizes, a
+    # one-pixel patch, 1 and 200 classes.
     @pytest.mark.parametrize("overrides", [
         dict(),
-        dict(noise=0.0, distractors=0, neutral_patch_rate=1.0, cue_reliability=0.0,
-             patch_contrast=0.5),
-        dict(neutral_patch_rate=0.0, cue_reliability=1.0, jitter=0.0, patch_contrast=0.5),
-        dict(image_size=31, patch_size=9, noise=0.1, seed=3),
-        dict(image_size=17, patch_size=1, distractors=0),
+        dict(neutral_patch_rate=1.0, cue_reliability=0.0, patch_contrast=0.5),
+        dict(neutral_patch_rate=0.0, cue_reliability=1.0, patch_contrast=0.5),
+        dict(image_size=31, patch_size=9, seed=3),
+        dict(image_size=17, patch_size=1),
         dict(classes=1, per_class_train=5, cue_reliability=0.0),
         dict(classes=200, per_class_train=1, per_class_test=0, image_size=16, patch_size=5),
-    ], ids=["default", "no-noise-no-distractors-neutral", "fixed-place-true-tint",
+    ], ids=["default", "neutral-wrong-tint", "true-tint",
             "odd-sizes", "patch-1", "one-class", "200-classes"])
     def test_generate_matches_reference(self, overrides):
         spec = small_spec(**overrides)
@@ -260,7 +254,13 @@ class TestFolders:
         ([Sample(np.zeros((3, 4, 4)), -1)], "test sample 0 label must be >= 0, got -1"),
         ([Sample(np.zeros((3, 4, 4)), 1.5)], "test sample 0 label must be an integer, got 1.5"),
         ([Sample(np.zeros((3, 4, 4)), True)], "test sample 0 label must be an integer, got True"),
-    ], ids=["two-sizes", "negative-label", "float-label", "bool-label"])
+        ([Sample(np.zeros((3, 4, 4)), 0), Sample(np.full((3, 4, 4), np.nan), 1)],
+         r"test/00001\.ppm: image has NaN or inf values"),
+        ([Sample(np.full((3, 4, 4), np.inf), 0)], r"test/00000\.ppm: image has NaN or inf values"),
+        ([Sample(np.zeros((1, 4, 4)), 0)],
+         r"test/00000\.ppm: expected a \(3, H, W\) image, got shape \(1, 4, 4\)"),
+    ], ids=["two-sizes", "negative-label", "float-label", "bool-label", "nan-image",
+            "inf-image", "one-channel"])
     def test_save_rejects_what_load_would_refuse(self, tmp_path, test, message):
         # load_folder would refuse each of these splits, so save_dataset refuses it first.
         train = [Sample(np.zeros((3, 6, 6)), 0)]
@@ -305,8 +305,6 @@ def _manifest(directory, text):
 
 
 @pytest.mark.parametrize("call,message", [
-    (lambda d: small_spec(jitter=-0.1), r"jitter must lie in \[0, 1\]"),
-    (lambda d: small_spec(jitter=1.5), r"jitter must lie in \[0, 1\]"),
     (lambda d: small_spec(cue_reliability=1.5), r"cue_reliability must lie in \[0, 1\], got 1\.5"),
     (lambda d: small_spec(neutral_patch_rate=-0.2),
      r"neutral_patch_rate must lie in \[0, 1\], got -0\.2"),
@@ -314,27 +312,28 @@ def _manifest(directory, text):
     (lambda d: small_spec(per_class_train=-2), "per_class_train must be >= 0, got -2"),
     (lambda d: small_spec(per_class_test=-1), "per_class_test must be >= 0, got -1"),
     (lambda d: small_spec(patch_size=0), "patch_size must be >= 1, got 0"),
-    (lambda d: small_spec(noise=-0.1), r"noise must be >= 0, got -0\.1"),
-    (lambda d: small_spec(distractors=-1), "distractors must be >= 0, got -1"),
-    (lambda d: small_spec(noise=float("nan")), "noise must be finite, got nan"),
-    (lambda d: small_spec(background_amplitude=float("nan")),
-     "background_amplitude must be finite, got nan"),
-    (lambda d: small_spec(tint_strength=float("inf")), "tint_strength must be finite, got inf"),
+    # check_real's general rejections (NaN, inf, None, bool, str, huge int) go
+    # through the remaining float fields; the ids keep the names of the
+    # fixed settings these rows were first written against.
+    (lambda d: small_spec(cue_reliability=float("nan")), "cue_reliability must be finite, got nan"),
+    (lambda d: small_spec(neutral_patch_rate=float("nan")),
+     "neutral_patch_rate must be finite, got nan"),
+    (lambda d: small_spec(neutral_patch_rate=float("inf")),
+     "neutral_patch_rate must be finite, got inf"),
     (lambda d: small_spec(patch_contrast=float("-inf")),
      "patch_contrast must be finite, got -inf"),
-    (lambda d: small_spec(jitter=float("nan")), "jitter must be finite, got nan"),
     (lambda d: small_spec(classes=2.5), "classes must be an integer, got 2.5"),
     (lambda d: small_spec(classes=True), "classes must be an integer, got True"),
     (lambda d: small_spec(per_class_train=1.5), "per_class_train must be an integer, got 1.5"),
     (lambda d: small_spec(per_class_test=0.5), "per_class_test must be an integer, got 0.5"),
     (lambda d: small_spec(image_size=24.5), "image_size must be an integer, got 24.5"),
     (lambda d: small_spec(patch_size=8.5), "patch_size must be an integer, got 8.5"),
-    (lambda d: small_spec(distractors=1.5), "distractors must be an integer, got 1.5"),
     (lambda d: small_spec(seed=True), "seed must be an integer, got True"),
     (lambda d: small_spec(seed=-1), "seed must be >= 0, got -1"),
-    (lambda d: small_spec(noise=None), "noise must be a real number, got None"),
-    (lambda d: small_spec(noise=True), "noise must be a real number, got True"),
-    (lambda d: small_spec(tint_strength="0.2"), "tint_strength must be a real number, got '0.2'"),
+    (lambda d: small_spec(patch_contrast=None), "patch_contrast must be a real number, got None"),
+    (lambda d: small_spec(cue_reliability=True), "cue_reliability must be a real number, got True"),
+    (lambda d: small_spec(patch_contrast="0.2"),
+     "patch_contrast must be a real number, got '0.2'"),
     (lambda d: load_folder(_manifest(d, "file,class\ni.ppm,0\n")),
      r"m\.csv: expected 'path,label' header, got \['file', 'class'\]"),
     (lambda d: load_folder(_manifest(d, "path,label,top\ni.ppm,0,1\n")),
@@ -353,17 +352,17 @@ def _manifest(directory, text):
     (lambda d: load_folder(_manifest(d, BOXED + "i.ppm,0,0,,1,1\n")),
      r"row 2, path 'i\.ppm': box \['0', '', '1', '1'\]: could not convert string to float"),
     # math.isfinite raised a bare OverflowError on an int too large for a float.
-    (lambda d: small_spec(noise=10**400), "noise must be finite, got an int too large"),
-    (lambda d: small_spec(jitter=-10**400), "jitter must be finite, got an int too large"),
-], ids=["jitter-below", "jitter-above", "cue-reliability-above", "neutral-rate-below",
+    (lambda d: small_spec(patch_contrast=10**400),
+     "patch_contrast must be finite, got an int too large"),
+], ids=["cue-reliability-above", "neutral-rate-below",
         "no-classes", "negative-train-count", "negative-test-count", "empty-patch",
-        "negative-noise", "negative-distractors", "nan-noise", "nan-background",
-        "inf-tint", "inf-contrast", "nan-jitter", "float-classes", "bool-classes",
+        "nan-noise", "nan-background", "inf-tint", "inf-contrast",
+        "float-classes", "bool-classes",
         "float-train-count", "float-test-count", "float-image-size", "float-patch-size",
-        "float-distractors", "bool-seed", "negative-seed", "none-noise", "bool-noise",
+        "bool-seed", "negative-seed", "none-noise", "bool-noise",
         "string-tint", "manifest-header", "manifest-box-header", "box-three-fields",
         "box-five-fields", "box-not-a-number", "box-nan", "box-degenerate", "box-empty-field",
-        "huge-int-noise", "huge-int-jitter"])
+        "huge-int-noise"])
 def test_bad_input_rejected(tmp_path, call, message):
     with pytest.raises(ValueError, match=message):
         call(tmp_path)

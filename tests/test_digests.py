@@ -30,3 +30,9 @@ def test_two_runs_give_the_same_lines_with_unique_names():
     assert "gap.m2.f32.b5.side1_logits" in names
     assert "gmp.m2.f32.b5.grad.module1.conv6.weight" in names
     assert "gmp.m1.f32.b1.grad.input" in names and "gmp.m1.f32.b1.tape_records" in names
+    # Each generated dataset's splits: SynthSpec() and the small specs.
+    for spec in ("default", "neutral_wrong_tint", "true_tint", "odd_sizes", "patch_1",
+                 "one_class"):
+        for split in ("train", "test"):
+            for part in ("images", "labels", "boxes"):
+                assert f"data.{spec}.{split}.{part}" in names

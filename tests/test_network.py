@@ -36,7 +36,7 @@ from patchbank.network import (
     tinynet_spec,
     vgg16_backbone,
 )
-from patchbank import network, ops
+from patchbank import data, network, ops
 from patchbank.tensor import GradTape, Tensor
 from patchbank.tensorio import load_tensors, save_tensors
 
@@ -112,7 +112,7 @@ class TestReceptiveField:
         assert rf.stride == 2
         # Verify empirically: the set of tap sites changed by a single-pixel
         # bump must equal the sites whose declared field covers that pixel.
-        shapes = feature_shapes(spec, 2, 16)
+        shapes = feature_shapes(spec, 16)
         n_h, n_w = shapes[-1][1:]
         for pixel in [(5, 7), (8, 3), (11, 11)]:
             got = probe_changed_sites(spec, 2, 16, pixel, "t")
@@ -151,7 +151,7 @@ class TestReceptiveField:
                     layers.append(ReLU())
             try:
                 spec = BackboneSpec(layers=tuple(layers), taps={"t": len(layers) - 1})
-                shapes = feature_shapes(spec, 2, 20)
+                shapes = feature_shapes(spec, 20)
                 break
             except ValueError:
                 continue
@@ -1077,7 +1077,7 @@ class TestSpecValidation:
     def test_collapsing_feature_map_rejected(self):
         spec = BackboneSpec(layers=(Pool(2, 2), Pool(2, 2), Pool(2, 2)), taps={"t": 2})
         with pytest.raises(ValueError, match="collapses"):
-            feature_shapes(spec, 3, 4)
+            feature_shapes(spec, 4)
 
     @pytest.mark.parametrize("field", ["fusion_g", "fusion_p", "fusion_side"])
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
@@ -1125,6 +1125,12 @@ class TestSpecValidation:
             "g_logits", "p_logits", "side_logits", "peak_values", "peak_argmax"]
         assert list(inspect.signature(tinynet_spec).parameters) == [
             "classes", "filters_per_class", "input_size", "pooling"]
+        assert list(inspect.signature(feature_shapes).parameters) == ["spec", "input_size"]
+        # The generator's fixed look (noise, background, tint, distractors) is
+        # module constants; a spec holds only what a run or an ablation varies.
+        assert [f.name for f in dataclasses.fields(data.SynthSpec)] == [
+            "classes", "per_class_train", "per_class_test", "image_size", "patch_size",
+            "cue_reliability", "neutral_patch_rate", "patch_contrast", "seed"]
 
     def test_specs_cannot_change_after_validation(self):
         spec = tinynet_spec(classes=4)

@@ -10,6 +10,9 @@ digests the ``build_model`` params, every output of ``forward``,
 ``fuse_predictions`` at the spec's default weights, ``tap_features`` at
 block3 and block4, and one taped pass: the summed cross-entropy of every
 stream, every gradient (the input's included) and the tape's record count.
+It also digests the images, labels and truth boxes of each split that
+``data.generate`` makes for ``SynthSpec()`` and for the small specs in
+``SYNTH_SPECS``, which together reach every branch of the generator.
 
 Two source trees that print the same lines give bit-identical outputs on
 this grid, which is the check a simplification owes ROADMAP aim 2:
@@ -18,6 +21,7 @@ this grid, which is the check a simplification owes ROADMAP aim 2:
 """
 
 import argparse
+import dataclasses
 import hashlib
 import sys
 from pathlib import Path
@@ -31,11 +35,28 @@ MODULES = (1, 2)
 DTYPES = ("f32", "f64")
 BATCHES = (1, 4, 5, 17)
 
+# Neutral patch never and always, tint always wrong and always right, odd
+# sizes, a one-pixel patch and one class; "default" is SynthSpec() itself.
+SMALL = dict(classes=3, per_class_train=4, per_class_test=2, image_size=24, patch_size=8)
+SYNTH_SPECS = {
+    "default": {},
+    "neutral_wrong_tint": dict(SMALL, neutral_patch_rate=1.0, cue_reliability=0.0,
+                               patch_contrast=0.5),
+    "true_tint": dict(SMALL, neutral_patch_rate=0.0, cue_reliability=1.0, patch_contrast=0.5),
+    "odd_sizes": dict(SMALL, image_size=31, patch_size=9, seed=3),
+    "patch_1": dict(SMALL, image_size=17, patch_size=1),
+    "one_class": dict(SMALL, classes=1, per_class_train=5, cue_reliability=0.0),
+}
 
-def _sha(value) -> str:
-    """sha256 of an array's dtype, shape and bytes, so a dtype or shape change shows too."""
-    a = np.ascontiguousarray(value)
-    return hashlib.sha256(f"{a.dtype.str}{a.shape}".encode() + a.tobytes()).hexdigest()
+
+def _sha(*values) -> str:
+    """sha256 of each array's dtype, shape and bytes in turn, so a dtype or shape
+    change shows too; one array gives the digest of its own header and bytes."""
+    h = hashlib.sha256()
+    for value in values:
+        a = np.ascontiguousarray(value)
+        h.update(f"{a.dtype.str}{a.shape}".encode() + a.tobytes())
+    return h.hexdigest()
 
 
 def _spec(network, pooling: str, modules: int):
@@ -80,8 +101,20 @@ def _outputs(model, batch: int):
     yield "tape_records", _sha(len(tape))
 
 
+def _generated(overrides: dict):
+    """(name, digest) of the images, labels and boxes of each split ``generate`` makes."""
+    from patchbank import data
+
+    train, test = data.generate(data.SynthSpec(**overrides))
+    for split, samples in (("train", train), ("test", test)):
+        yield f"{split}.images", _sha(*(s.image for s in samples))
+        yield f"{split}.labels", _sha([s.label for s in samples])
+        yield f"{split}.boxes", _sha([dataclasses.astuple(s.truth_box) for s in samples])
+
+
 def digests(poolings=POOLINGS, modules=MODULES, dtypes=DTYPES, batches=BATCHES) -> list[str]:
-    """One ``name sha256`` line per output over the grid; every name is unique."""
+    """One ``name sha256`` line per output over the grid and per generated
+    dataset; every name is unique."""
     from patchbank import network
 
     lines = []
@@ -95,6 +128,9 @@ def digests(poolings=POOLINGS, modules=MODULES, dtypes=DTYPES, batches=BATCHES) 
                 for batch in batches:
                     lines += [f"{point}.b{batch}.{name} {digest}"
                               for name, digest in _outputs(model, batch)]
+    for spec_name, overrides in SYNTH_SPECS.items():
+        lines += [f"data.{spec_name}.{name} {digest}"
+                  for name, digest in _generated(overrides)]
     return lines
 
 
