@@ -298,7 +298,9 @@ def load_folder(manifest_path) -> list[Sample]:
     with open(manifest_path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
-        if header is not None and header not in (_MANIFEST_HEADER[:2], _MANIFEST_HEADER):
+        if header is None:  # as a truncated write leaves it; an empty split keeps its header
+            raise ValueError(f"{manifest_path}: empty manifest, expected a 'path,label' header")
+        if header not in (_MANIFEST_HEADER[:2], _MANIFEST_HEADER):
             raise ValueError(f"{manifest_path}: expected 'path,label' header, got {header}")
         for row in reader:
             if not row:

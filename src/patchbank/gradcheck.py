@@ -12,13 +12,16 @@ def finite_difference_check(f, x: Tensor, eps: float = 1e-4, max_coords: int | N
                             rng=None) -> float:
     """Max relative error between the taped gradient of f at x and central differences.
 
-    ``f`` maps a Tensor to a rank-0 Tensor.  Each checked coordinate i
-    compares the analytic gradient a_i against
-    (f(x + eps*e_i) - f(x - eps*e_i)) / (2*eps), with relative error
+    ``f`` maps a Tensor to a Tensor of any shape; both sides differentiate
+    the sum S of its entries.  Each checked coordinate i compares the
+    tape's gradient a_i under ``backward``'s all-ones seed against
+    n_i = (S(x + eps*e_i) - S(x - eps*e_i)) / (2*eps), with relative error
     |a_i - n_i| / max(1, |a_i|, |n_i|).  ``max_coords`` limits the sweep to
     a random coordinate subset (all coordinates by default).  A NaN or inf
     in either gradient makes that coordinate's error, and the result, NaN,
-    so a ``< tol`` check fails.
+    so a ``< tol`` check fails.  A backward that moves gradient between
+    outputs of equal upstream weight passes; tests that must catch that
+    seed ``backward`` themselves, as TestConv2dWorkers and TestMaxPool2d do.
     """
     check_real("eps", eps)
     if eps <= 0:
@@ -29,8 +32,6 @@ def finite_difference_check(f, x: Tensor, eps: float = 1e-4, max_coords: int | N
     probe = Tensor(x.data.copy(), requires_grad=True)
     with GradTape() as tape:
         y = f(probe)
-    if y.data.shape != ():
-        raise ValueError(f"f must return a rank-0 tensor, got shape {y.shape}")
     # An f that ignores x records nothing, and its gradient is zero.
     g = None
     if y.requires_grad:
@@ -51,9 +52,9 @@ def finite_difference_check(f, x: Tensor, eps: float = 1e-4, max_coords: int | N
     for e, i in enumerate(coords):
         orig = flat[i]
         flat[i] = orig + eps
-        fp = float(f(probe).data)
+        fp = float(f(probe).data.sum())
         flat[i] = orig - eps
-        fm = float(f(probe).data)
+        fm = float(f(probe).data.sum())
         flat[i] = orig
         # Python floats: inf - inf and inf / inf give NaN without a warning.
         analytic_i, numeric = float(aflat[i]), (fp - fm) / (2.0 * eps)

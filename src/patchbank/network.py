@@ -291,6 +291,9 @@ def build_model(spec: ModelSpec, bank_init=None, seed: int = 0, dtype="f64") -> 
     """
     np_dtype = resolve_dtype(dtype)
     check_int("seed", seed, 0)
+    if isinstance(bank_init, FilterBank):
+        raise ValueError("bank_init must be a list with one entry per module "
+                         f"({len(spec.modules)}), got a bare FilterBank")
     if bank_init is not None and len(bank_init) != len(spec.modules):
         raise ValueError(f"bank_init must have one entry per module ({len(spec.modules)}), "
                          f"got {len(bank_init)}")
@@ -319,6 +322,10 @@ def build_model(spec: ModelSpec, bank_init=None, seed: int = 0, dtype="f64") -> 
 
 
 def _check_input(model: Model, image) -> Tensor:
+    # A Tensor is float by construction; Tensor() would cast a uint8 image's 0-255 as is.
+    if not isinstance(image, Tensor) and np.asarray(image).dtype.kind != "f":
+        raise ValueError(f"input image has dtype {np.asarray(image).dtype}, but images are "
+                         "floats in [0, 1], as load_ppm and generate make them")
     x = image if isinstance(image, Tensor) else Tensor(image)
     spec = model.spec
     want = (IN_CHANNELS, spec.input_size, spec.input_size)
@@ -388,6 +395,8 @@ def tap_features(model: Model, image, tap: str) -> Tensor:
 def forward(model: Model, image) -> StreamOutputs:
     """Run every stream on one image (C,S,S) or a batch (N,C,S,S).
 
+    Pixels are floats in [0, 1], as ``load_ppm`` and ``generate`` make
+    them; an integer or bool array (a raw uint8 image, say) is rejected.
     Deterministic; also records the argmax location of every conv6 filter
     response for later patch visualization.  One backbone walk returns the
     final map and each module's tap, with each conv and its relu fused and

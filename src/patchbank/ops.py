@@ -194,17 +194,6 @@ def scale(a: Tensor, c: float) -> Tensor:
     return _record((a,), out, backward)
 
 
-def tsum(a: Tensor) -> Tensor:
-    """Sum of all entries, as a rank-0 tensor."""
-    a = _as_tensor(a)
-    out = Tensor(a.data.sum())
-
-    def backward(g):
-        return (np.broadcast_to(g, a.shape).astype(a.dtype, copy=True),)
-
-    return _record((a,), out, backward)
-
-
 def relu(x: Tensor) -> Tensor:
     """max(x, 0), elementwise.  The backbone runs each relu fused into ``conv2d``;
     this stays public because the benchmark's op replay and the tests call it."""

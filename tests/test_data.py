@@ -226,6 +226,15 @@ class TestFolders:
     def test_empty_manifest(self, tmp_path):
         (tmp_path / "m.csv").write_text("path,label\n")
         assert load_folder(tmp_path / "m.csv") == []
+        # save_dataset writes a header-only manifest for an empty split.
+        save_dataset(tmp_path, [Sample(np.zeros((3, 4, 4)), 0)], [])
+        assert load_folder(tmp_path / "test.csv") == []
+
+    def test_manifest_without_header_rejected(self, tmp_path):
+        # A truncated write leaves 0 bytes, which must not load as an empty split.
+        (tmp_path / "m.csv").write_bytes(b"")
+        with pytest.raises(ValueError, match=r"m\.csv: empty manifest, expected a 'path,label'"):
+            load_folder(tmp_path / "m.csv")
 
     def test_blank_rows_skipped(self, tmp_path):
         save_ppm(tmp_path / "i.ppm", np.zeros((3, 2, 2)))

@@ -30,6 +30,8 @@ def test_two_runs_give_the_same_lines_with_unique_names():
     assert "gap.m2.f32.b5.side1_logits" in names
     assert "gmp.m2.f32.b5.grad.module1.conv6.weight" in names
     assert "gmp.m1.f32.b1.grad.input" in names and "gmp.m1.f32.b1.tape_records" in names
+    # The gradcheck point is fixed, so it is digested whatever the grid.
+    assert "gradcheck.gmp.m1.f64.b4.backbone.0.weight" in names
     # Each generated dataset's splits: SynthSpec() and the small specs.
     for spec in ("default", "neutral_wrong_tint", "true_tint", "odd_sizes", "patch_1",
                  "one_class"):

@@ -6,21 +6,23 @@ import pytest
 from patchbank import ops
 from patchbank.gradcheck import finite_difference_check
 from patchbank.network import Model, build_model, forward, tinynet_spec
-from patchbank.tensor import Tensor
+from patchbank.tensor import Tensor, active_tape
 
 TOL = 1e-5
 EPS = 1e-4
 
 
 def test_sum_gradient_is_exact():
+    # Both sides take the sum of the (3, 4) output: all-ones seed, .data.sum().
     x = Tensor(np.random.default_rng(0).standard_normal((3, 4)))
-    assert finite_difference_check(ops.tsum, x, eps=EPS) == pytest.approx(0.0, abs=1e-9)
+    f = lambda t: ops.scale(t, 1.0)
+    assert finite_difference_check(f, x, eps=EPS) == pytest.approx(0.0, abs=1e-9)
 
 
 def test_conv2d_wrt_input():
     rng = np.random.default_rng(1)
     w = Tensor(rng.standard_normal((2, 3, 3, 3)))
-    f = lambda t: ops.tsum(ops.conv2d(t, w, stride=2, pad=1))
+    f = lambda t: ops.conv2d(t, w, stride=2, pad=1)
     for shape in [(3, 5, 5), (2, 3, 5, 5)]:
         x = Tensor(rng.standard_normal(shape))
         assert finite_difference_check(f, x, eps=EPS) < TOL
@@ -31,7 +33,7 @@ def test_conv2d_wrt_weight():
     x = Tensor(rng.standard_normal((3, 5, 5)))
     w = Tensor(rng.standard_normal((2, 3, 3, 3)))
     for xs in [x, Tensor(rng.standard_normal((2, 3, 5, 5)))]:
-        f = lambda t: ops.tsum(ops.conv2d(xs, t, stride=1, pad=1))
+        f = lambda t: ops.conv2d(xs, t, stride=1, pad=1)
         assert finite_difference_check(f, w, eps=EPS) < TOL
 
 
@@ -40,7 +42,7 @@ def test_conv2d_1x1_wrt_weight():
     x = Tensor(rng.standard_normal((4, 3, 3)))
     w = Tensor(rng.standard_normal((6, 4, 1, 1)))
     for xs in [x, Tensor(rng.standard_normal((3, 4, 3, 3)))]:
-        f = lambda t: ops.tsum(ops.conv2d(xs, t))
+        f = lambda t: ops.conv2d(xs, t)
         assert finite_difference_check(f, w, eps=EPS) < TOL
 
 
@@ -52,22 +54,22 @@ def test_conv2d_relu_away_from_kink():
         # A step of EPS moves no pre-activation across 0.
         pre = ops.conv2d(x, w, stride=2, pad=1).data
         assert np.abs(pre).min() > 0.01
-        f = lambda t: ops.tsum(ops.conv2d(t, w, stride=2, pad=1, relu=True))
+        f = lambda t: ops.conv2d(t, w, stride=2, pad=1, relu=True)
         assert finite_difference_check(f, x, eps=EPS) < TOL
-        f = lambda t: ops.tsum(ops.conv2d(x, t, stride=2, pad=1, relu=True))
+        f = lambda t: ops.conv2d(x, t, stride=2, pad=1, relu=True)
         assert finite_difference_check(f, w, eps=EPS) < TOL
 
 
 def test_global_max_pool_away_from_ties():
     rng = np.random.default_rng(4)
     x = Tensor(rng.standard_normal((3, 4, 4)))  # continuous values: ties have measure zero
-    f = lambda t: ops.tsum(ops.global_max_pool(t)[0])
+    f = lambda t: ops.global_max_pool(t)[0]
     assert finite_difference_check(f, x, eps=EPS) < TOL
 
 
 def test_global_avg_pool():
     x = Tensor(np.random.default_rng(5).standard_normal((2, 3, 5)))
-    f = lambda t: ops.tsum(ops.global_avg_pool(t))
+    f = ops.global_avg_pool
     assert finite_difference_check(f, x, eps=EPS) < TOL
 
 
@@ -84,11 +86,11 @@ def test_fully_connected_all_arguments():
     b = Tensor(rng.standard_normal(3))
     for xs in [x, Tensor(rng.standard_normal((4, 8)))]:
         assert finite_difference_check(
-            lambda t: ops.tsum(ops.fully_connected(t, w, b)), xs, eps=EPS) < TOL
+            lambda t: ops.fully_connected(t, w, b), xs, eps=EPS) < TOL
         assert finite_difference_check(
-            lambda t: ops.tsum(ops.fully_connected(xs, t, b)), w, eps=EPS) < TOL
+            lambda t: ops.fully_connected(xs, t, b), w, eps=EPS) < TOL
         assert finite_difference_check(
-            lambda t: ops.tsum(ops.fully_connected(xs, w, t)), b, eps=EPS) < TOL
+            lambda t: ops.fully_connected(xs, w, t), b, eps=EPS) < TOL
 
 
 def test_softmax_cross_entropy_composed_with_fc():
@@ -124,40 +126,56 @@ def test_bank_peaks_away_from_ties():
 
 def test_relu_away_from_kink():
     x = Tensor(np.array([-1.5, 2.0, 0.7, -0.3]))
-    f = lambda t: ops.tsum(ops.relu(t))
+    f = ops.relu
     assert finite_difference_check(f, x, eps=EPS) < TOL
 
 
 def test_maxpool2d_away_from_ties():
     rng = np.random.default_rng(10)
     x = Tensor(rng.standard_normal((2, 6, 6)))
-    f = lambda t: ops.tsum(ops.maxpool2d(t, 2, 2))
+    f = lambda t: ops.maxpool2d(t, 2, 2)
     assert finite_difference_check(f, x, eps=EPS) < TOL
 
 
 def test_maxpool2d_overlapping_windows():
     rng = np.random.default_rng(11)
     x = Tensor(rng.standard_normal((2, 5, 5)))
-    f = lambda t: ops.tsum(ops.maxpool2d(t, 3, 1))
+    f = lambda t: ops.maxpool2d(t, 3, 1)
     assert finite_difference_check(f, x, eps=EPS) < TOL
 
 
 def test_sampled_coordinate_subset():
     rng = np.random.default_rng(12)
     x = Tensor(rng.standard_normal((4, 8, 8)))
-    f = lambda t: ops.tsum(ops.global_avg_pool(t))
+    f = ops.global_avg_pool
     err = finite_difference_check(f, x, eps=EPS, max_coords=16, rng=0)
     assert err < TOL
 
 
-def test_rejects_non_scalar_objective():
-    with pytest.raises(ValueError, match="rank-0"):
-        finite_difference_check(lambda t: ops.relu(t), Tensor(np.ones(3)))
+def _doubling(backward_factor):
+    """t -> 2t, recorded with a backward that returns backward_factor * 2g."""
+    def f(t):
+        out = Tensor(2.0 * t.data)
+        tape = active_tape()
+        if tape is not None:  # the finite-difference passes run without one
+            out.requires_grad = True
+            tape.record((t,), out, lambda g: (backward_factor * 2.0 * g,))
+        return out
+    return f
+
+
+# A doubled backward gives analytic 4 against numeric 2 at every coordinate: |4 - 2| / 4.
+@pytest.mark.parametrize("backward_factor,err", [(1.0, 0.0), (2.0, 0.5)],
+                         ids=["correct-backward", "doubled-backward"])
+def test_non_scalar_output_checks_the_sum(backward_factor, err):
+    x = Tensor(np.random.default_rng(13).standard_normal((3, 4)))
+    got = finite_difference_check(_doubling(backward_factor), x, eps=EPS)
+    assert got == pytest.approx(err, abs=1e-9)
 
 
 @pytest.mark.parametrize("f", [
-    lambda t: ops.tsum(ops.scale(t, np.nan)),  # NaN taped and numeric gradients
-    lambda t: ops.tsum(ops.scale(t, 1e10)),    # finite taped gradient, inf - inf numerically
+    lambda t: ops.scale(t, np.nan),  # NaN taped and numeric gradients
+    lambda t: ops.scale(t, 1e10),    # finite taped gradient, inf - inf numerically
 ], ids=["nan-gradient", "inf-objective"])
 def test_non_finite_gradient_fails_the_check(f):
     # The builtin max drops a NaN error, which read as a perfect 0.0.
@@ -184,12 +202,12 @@ def test_non_finite_gradient_fails_the_check(f):
         "max-coords-negative", "max-coords-float", "max-coords-bool"])
 def test_bad_arguments_rejected(kwargs, message):
     with pytest.raises(ValueError, match=message):
-        finite_difference_check(ops.tsum, Tensor(np.ones(3)), **kwargs)
+        finite_difference_check(ops.relu, Tensor(np.ones(3)), **kwargs)
 
 
 def test_objective_that_ignores_x_has_zero_gradient():
     c = Tensor(np.arange(3.0))
-    assert finite_difference_check(lambda t: ops.tsum(c), Tensor(np.ones(3)), eps=EPS) == 0.0
+    assert finite_difference_check(lambda t: c, Tensor(np.ones(3)), eps=EPS) == 0.0
 
 
 @pytest.mark.parametrize("pooling", ["gmp", "gap"])

@@ -254,6 +254,14 @@ class TestBuildModel:
                                              "module needs 4 x 4"):
             build_model(spec, bank_init=[bank])
 
+    def test_bare_bank_rejected(self):
+        # A bare FilterBank used to fail with "object of type 'FilterBank' has no len()".
+        spec = tinynet_spec(classes=4, filters_per_class=3)
+        bank = FilterBank(weight=Tensor(np.zeros((12, 64, 1, 1))), classes=4, filters_per_class=3)
+        with pytest.raises(ValueError, match=r"bank_init must be a list with one entry per "
+                                             r"module \(1\), got a bare FilterBank"):
+            build_model(spec, bank_init=bank)
+
     def test_filter_bank_class_ownership(self):
         bank = FilterBank(weight=Tensor(np.zeros((12, 8, 1, 1))), classes=4, filters_per_class=3)
         assert [bank.class_of_filter(j) for j in range(12)] == [0, 0, 0, 1, 1, 1, 2, 2, 2, 3, 3, 3]
@@ -568,6 +576,18 @@ class TestForward:
         model = build_model(tinynet_spec(classes=4, filters_per_class=2), seed=0)
         with pytest.raises(ValueError, match="does not match"):
             forward(model, np.zeros((3, 32, 32)))
+
+    @pytest.mark.parametrize("dtype", [np.uint8, np.int64, np.bool_])
+    def test_non_float_input_rejected(self, dtype):
+        # A uint8 image of 0-255 values, or a bool mask, used to run and return logits.
+        model = build_model(tinynet_spec(classes=4, filters_per_class=2), seed=0)
+        x = np.ones((3, 64, 64), dtype=dtype)
+        message = rf"input image has dtype {np.dtype(dtype)}, but images are floats in \[0, 1\]"
+        for run in (lambda im: forward(model, im), lambda im: tap_features(model, im, "block3")):
+            with pytest.raises(ValueError, match=message):
+                run(x)
+            with pytest.raises(ValueError, match=message):
+                run(x[None])
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 1e300])
     @pytest.mark.filterwarnings("ignore:overflow encountered in cast:RuntimeWarning")

@@ -10,9 +10,12 @@ digests the ``build_model`` params, every output of ``forward``,
 ``fuse_predictions`` at the spec's default weights, ``tap_features`` at
 block3 and block4, and one taped pass: the summed cross-entropy of every
 stream, every gradient (the input's included) and the tape's record count.
-It also digests the images, labels and truth boxes of each split that
-``data.generate`` makes for ``SynthSpec()`` and for the small specs in
-``SYNTH_SPECS``, which together reach every branch of the generator.
+At one point it digests the float that ``finite_difference_check`` returns
+for that summed loss as a function of one weight, a rank-0 objective like
+the benchmark's.  It also digests the images, labels and truth boxes of
+each split that ``data.generate`` makes for ``SynthSpec()`` and for the
+small specs in ``SYNTH_SPECS``, which together reach every branch of the
+generator.
 
 Two source trees that print the same lines give bit-identical outputs on
 this grid, which is the check a simplification owes ROADMAP aim 2:
@@ -67,14 +70,31 @@ def _spec(network, pooling: str, modules: int):
                              pooling=pooling)
 
 
+def _batch(model, batch: int):
+    """One seeded batch of images at the model's dtype, and its labels."""
+    x = np.random.default_rng(batch).random((batch, 3, 32, 32)).astype(model.dtype)
+    return x, np.arange(batch) % model.spec.classes
+
+
+def _summed_loss(model, image, labels):
+    """The summed cross-entropy of every stream, recorded if a tape is active."""
+    from patchbank import network, ops
+
+    streams = network.logit_streams(network.forward(model, image))
+    loss = ops.softmax_cross_entropy(streams[0], labels)
+    for s in streams[1:]:
+        loss = ops.add(loss, ops.softmax_cross_entropy(s, labels))
+    return loss
+
+
 def _outputs(model, batch: int):
     """(name, digest) of every output of ``model`` on one seeded batch."""
-    from patchbank import network, ops
+    from patchbank import network
     from patchbank.tensor import GradTape, Tensor
 
     n = len(model.spec.modules)
     stream_names = ["g"] + [f"p{i}" for i in range(n)] + [f"side{i}" for i in range(n)]
-    x = np.random.default_rng(batch).random((batch, 3, 32, 32)).astype(model.dtype)
+    x, labels = _batch(model, batch)
     out = network.forward(model, x)
     streams = network.logit_streams(out)
     yield from ((f"{name}_logits", _sha(s.data)) for name, s in zip(stream_names, streams))
@@ -88,17 +108,26 @@ def _outputs(model, batch: int):
         yield f"tap_{tap}", _sha(network.tap_features(model, x, tap).data)
 
     image = Tensor(x, requires_grad=True)
-    labels = np.arange(batch) % model.spec.classes
     with GradTape() as tape:
-        streams = network.logit_streams(network.forward(model, image))
-        loss = ops.softmax_cross_entropy(streams[0], labels)
-        for s in streams[1:]:
-            loss = ops.add(loss, ops.softmax_cross_entropy(s, labels))
+        loss = _summed_loss(model, image, labels)
     tape.backward(loss)
     yield "loss", _sha(loss.data)
     for name, t in [("input", image), *model.params.items()]:
         yield f"grad.{name}", _sha(tape.grad(t).data)
     yield "tape_records", _sha(len(tape))
+
+
+def _gradcheck() -> str:
+    """Digest of ``finite_difference_check``'s result for the summed loss at
+    gmp, m1, f64, batch 4, as a function of ``backbone.0.weight``."""
+    from patchbank import network
+    from patchbank.gradcheck import finite_difference_check
+
+    model = network.build_model(_spec(network, "gmp", 1), seed=0, dtype="f64")
+    x, labels = _batch(model, 4)
+    name = "backbone.0.weight"
+    f = lambda w: _summed_loss(network.Model(model.spec, {**model.params, name: w}), x, labels)
+    return _sha(finite_difference_check(f, model.params[name], eps=1e-6, max_coords=6, rng=0))
 
 
 def _generated(overrides: dict):
@@ -113,8 +142,8 @@ def _generated(overrides: dict):
 
 
 def digests(poolings=POOLINGS, modules=MODULES, dtypes=DTYPES, batches=BATCHES) -> list[str]:
-    """One ``name sha256`` line per output over the grid and per generated
-    dataset; every name is unique."""
+    """One ``name sha256`` line per output over the grid, for the gradcheck
+    and per generated dataset; every name is unique."""
     from patchbank import network
 
     lines = []
@@ -128,6 +157,7 @@ def digests(poolings=POOLINGS, modules=MODULES, dtypes=DTYPES, batches=BATCHES) 
                 for batch in batches:
                     lines += [f"{point}.b{batch}.{name} {digest}"
                               for name, digest in _outputs(model, batch)]
+    lines.append(f"gradcheck.gmp.m1.f64.b4.backbone.0.weight {_gradcheck()}")
     for spec_name, overrides in SYNTH_SPECS.items():
         lines += [f"data.{spec_name}.{name} {digest}"
                   for name, digest in _generated(overrides)]
