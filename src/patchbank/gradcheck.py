@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from . import ops
 from .checks import check_int, check_real
 from .tensor import GradTape, Tensor
 
@@ -31,8 +32,10 @@ def finite_difference_check(f, x: Tensor, eps: float = 1e-4, max_coords: int | N
     x = x if isinstance(x, Tensor) else Tensor(x)
     probe = Tensor(x.data.copy(), requires_grad=True)
     with GradTape() as tape:
-        y = f(probe)
-    # An f that ignores x records nothing, and its gradient is zero.
+        # Scaling by 1.0 records an op even when f returns x itself or another
+        # leaf, and its backward keeps the gradient's bytes.
+        y = ops.scale(f(probe), 1.0)
+    # Where f's output needs no gradient, or does not depend on x, x's gradient is zero.
     g = None
     if y.requires_grad:
         tape.backward(y)

@@ -156,7 +156,7 @@ class DFLModuleSpec:
     tap: str
     filters_per_class: int
     # Every module has the side branch.  Only bench/replay.py reads this
-    # constant and ModelSpec.g_hidden; both go with the replay (ROADMAP item 3).
+    # constant and ModelSpec.g_hidden; both go with the replay (ROADMAP item 2).
     with_side_branch: ClassVar[bool] = True
 
     def __post_init__(self):
@@ -322,10 +322,6 @@ def build_model(spec: ModelSpec, bank_init=None, seed: int = 0, dtype="f64") -> 
 
 
 def _check_input(model: Model, image) -> Tensor:
-    # A Tensor is float by construction; Tensor() would cast a uint8 image's 0-255 as is.
-    if not isinstance(image, Tensor) and np.asarray(image).dtype.kind != "f":
-        raise ValueError(f"input image has dtype {np.asarray(image).dtype}, but images are "
-                         "floats in [0, 1], as load_ppm and generate make them")
     x = image if isinstance(image, Tensor) else Tensor(image)
     spec = model.spec
     want = (IN_CHANNELS, spec.input_size, spec.input_size)
@@ -395,8 +391,8 @@ def tap_features(model: Model, image, tap: str) -> Tensor:
 def forward(model: Model, image) -> StreamOutputs:
     """Run every stream on one image (C,S,S) or a batch (N,C,S,S).
 
-    Pixels are floats in [0, 1], as ``load_ppm`` and ``generate`` make
-    them; an integer or bool array (a raw uint8 image, say) is rejected.
+    Pixels are float32 or float64 in [0, 1], as ``load_ppm`` and ``generate``
+    make them; ``Tensor`` rejects an integer or bool array (a raw uint8 image).
     Deterministic; also records the argmax location of every conv6 filter
     response for later patch visualization.  One backbone walk returns the
     final map and each module's tap, with each conv and its relu fused and
@@ -455,8 +451,8 @@ def _check_fusion_weights(weights, names) -> np.ndarray:
 
 def fuse_predictions(outputs: StreamOutputs, weights) -> tuple[Tensor, np.ndarray | int]:
     """Weighted sum of stream logits and its argmax class (ties -> smallest index).
-    Every stream's logits must be finite; the error names the first that is not.
-    ``outputs`` must hold one P and one side stream per module."""
+    Every stream's logits must be finite and of G's shape; the error names the
+    first that is not.  ``outputs`` must hold one P and one side stream per module."""
     if len(outputs.p_logits) != len(outputs.side_logits):
         raise ValueError(f"outputs hold {len(outputs.p_logits)} P streams but "
                          f"{len(outputs.side_logits)} side streams; each module gives one of each")
@@ -467,6 +463,10 @@ def fuse_predictions(outputs: StreamOutputs, weights) -> tuple[Tensor, np.ndarra
     names = (["G"] + [f"P{i}" for i in range(len(outputs.p_logits))]
              + [f"side{i}" for i in range(len(outputs.side_logits))])
     for name, s in zip(names, streams):
+        # A (1, M) stream would broadcast against (N, M) ones and add rows.
+        if s.shape != outputs.g_logits.shape:
+            raise ValueError(f"{name} stream logits have shape {s.shape}, but G's have "
+                             f"{outputs.g_logits.shape}")
         # argmax returns the first NaN's index, so one NaN logit would pick the class.
         if not np.isfinite(s.data).all():
             raise ValueError(f"{name} stream logits have NaN or inf values")

@@ -1,7 +1,7 @@
 """Dense tensors and a reverse-mode gradient tape.
 
-Values are numpy arrays stored row-major, 64-bit floats by default with
-32-bit selectable for speed runs.  Differentiable kernels live in
+Values are numpy arrays stored row-major, float32 or float64 in native byte
+order; ``Tensor()`` rejects any other dtype.  Differentiable kernels live in
 :mod:`patchbank.ops`; while a :class:`GradTape` is active in the current
 thread they append one record per executed operation, and ``backward``
 replays those records in exact reverse execution order, accumulating
@@ -15,7 +15,6 @@ import threading
 import numpy as np
 
 DTYPES = {"f32": np.float32, "f64": np.float64}
-DEFAULT_DTYPE = np.float64
 
 
 def resolve_dtype(dtype) -> np.dtype:
@@ -23,7 +22,7 @@ def resolve_dtype(dtype) -> np.dtype:
     if isinstance(dtype, str) and dtype in DTYPES:
         return np.dtype(DTYPES[dtype])
     dt = np.dtype(dtype)
-    if dt not in (np.dtype(np.float32), np.dtype(np.float64)):
+    if dt not in DTYPES.values():
         raise ValueError(f"unsupported dtype {dtype!r}; use 'f32' or 'f64'")
     return dt
 
@@ -31,22 +30,22 @@ def resolve_dtype(dtype) -> np.dtype:
 class Tensor:
     """Dense N-dimensional real array, the value carrier for every kernel.
 
-    All extents must be >= 1 (rank-0 scalars are allowed).  ``data`` is always
-    a C-contiguous native float32 or float64 ndarray: f4/f8 keep their width.
+    ``data`` is a C-contiguous native float32 or float64 ndarray: f4/f8 input
+    keeps its width unless ``dtype`` ("f32"/"f64") is given, and any other dtype
+    raises ValueError.  All extents must be >= 1 (rank-0 scalars are allowed).
     """
 
     __slots__ = ("data", "requires_grad")
 
     def __init__(self, data, requires_grad: bool = False, dtype=None):
         arr = np.asarray(data)  # a Tensor's __array__ returns its data uncopied
-        if arr.dtype.kind not in "biuf":
-            # A cast would keep a complex value's real part, or turn None into NaN.
-            raise ValueError(f"tensor data must be bool, int or float, got dtype {arr.dtype}")
+        if arr.dtype != np.float32 and arr.dtype != np.float64:
+            native = arr.dtype.newbyteorder("=")
+            if native not in DTYPES.values():
+                raise ValueError(f"tensor data must be float32 or float64, got dtype {arr.dtype}")
+            arr = arr.astype(native)
         if dtype is not None:
             arr = arr.astype(resolve_dtype(dtype), copy=False)
-        elif arr.dtype != np.float32 and arr.dtype != np.float64:
-            native = arr.dtype.newbyteorder("=")
-            arr = arr.astype(native if native in (np.float32, np.float64) else DEFAULT_DTYPE)
         if arr.size == 0:
             raise ValueError(f"tensor extents must all be >= 1, got shape {arr.shape}")
         # ascontiguousarray would promote rank-0 scalars to rank 1.
@@ -137,8 +136,9 @@ class GradTape:
         """Propagate gradients from ``output`` back through the records.
 
         ``output`` must be the output of an operation recorded on this
-        tape; anything else would leave every gradient None.  It runs once
-        per tape, because it releases the records it runs.
+        tape; anything else would leave every gradient None.  ``seed`` (all
+        ones by default) is a float array of its shape, as ``Tensor`` requires.
+        It runs once per tape, because it releases the records it runs.
         """
         if self._records and self._records[-1] is None:  # backward releases it first
             raise ValueError("this tape's backward already ran; record a fresh tape")

@@ -32,6 +32,10 @@ def test_two_runs_give_the_same_lines_with_unique_names():
     assert "gmp.m1.f32.b1.grad.input" in names and "gmp.m1.f32.b1.tape_records" in names
     # The gradcheck point is fixed, so it is digested whatever the grid.
     assert "gradcheck.gmp.m1.f64.b4.backbone.0.weight" in names
+    # So is the point whose f64 input forward casts to its f32 model, in either byte order.
+    cast = dict(line.split(" ") for line in first if line.startswith("cast."))
+    assert set(cast) == {"cast.gmp.m1.f32.b4.f64.logits", "cast.gmp.m1.f32.b4.f64_swapped.logits"}
+    assert len(set(cast.values())) == 1
     # Each generated dataset's splits: SynthSpec() and the small specs.
     for spec in ("default", "neutral_wrong_tint", "true_tint", "odd_sizes", "patch_1",
                  "one_class"):

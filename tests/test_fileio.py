@@ -39,6 +39,7 @@ def _object_npz() -> bytes:
 
 
 ONES = _npy(np.ones(3))
+NOT_FLOAT = "member 'w': tensor data must be float32 or float64, got dtype"
 
 
 class TestDFLT:
@@ -97,28 +98,39 @@ class TestDFLT:
                 load_tensors(path)
 
     def test_integer_input_rejected(self, tmp_path):
-        with pytest.raises(ValueError, match=r"t\.npz: tensor 'i' must be a non-empty float32 or "
-                                             r"float64 array, got int64 of shape \(4,\)"):
+        with pytest.raises(ValueError, match=r"t\.npz: member 'i': tensor data must be float32 or "
+                                             r"float64, got dtype int64$"):
             save_tensors(tmp_path / "t.npz", {"w": np.ones(2), "i": np.arange(4)})
-        with pytest.raises(ValueError, match=r"tensor 'e' must be a non-empty .*got float64 of "
-                                             r"shape \(2, 0\)"):
+        with pytest.raises(ValueError, match=r"t\.npz: member 'e': tensor extents must all be "
+                                             r">= 1, got shape \(2, 0\)$"):
             save_tensors(tmp_path / "t.npz", {"e": np.ones((2, 0))})
         assert not (tmp_path / "t.npz").exists()
         path = tmp_path / "i.npz"
         path.write_bytes(_npz(w=_npy(np.ones(2)), i=_npy(np.arange(4))))
-        with pytest.raises(ValueError, match=r"i\.npz: member 'i' is not float32 or float64, "
-                                             r"got int64"):
+        with pytest.raises(ValueError, match=r"i\.npz: member 'i': tensor data must be float32 or "
+                                             r"float64, got dtype int64$"):
             load_tensors(path)
+
+    def test_byte_swapped_round_trip_to_native(self, tmp_path):
+        # save_tensors rejected a >f4 array that load_tensors would have read.
+        values = [1.5, -2.0, 3.25]
+        arrays = {f"{order}f{width}": np.array(values, f"{order}f{width}")
+                  for order in "<>" for width in (4, 8)}
+        path = tmp_path / "t.npz"
+        save_tensors(path, arrays)
+        for name, t in load_tensors(path).items():
+            assert t.dtype.isnative and t.dtype.itemsize == arrays[name].dtype.itemsize
+            assert t.data.tolist() == values
 
     @pytest.mark.parametrize("raw,message", [
         (_npz(w=ONES[:6] + bytes([9]) + ONES[7:]), r"format version .*not \(9, 0\)"),
-        (_npz(w=_npy(np.ones(2, np.complex128))),
-         "member 'w' is not float32 or float64, got complex128"),
+        (_npz(w=_npy(np.ones(2, np.complex128))), f"{NOT_FLOAT} complex128"),
         (_npz(w=ONES[:20]), "EOF: reading array header"),
         (_npz(w=ONES[:-8]), "EOF: reading array data"),
-        (_npz(w=_npy(np.ones(2, np.float16))), "member 'w' is not float32 or float64, got float16"),
-        (_npz(w=_npy(np.zeros((2, 0)))), r"tensor extents must all be >= 1, got shape \(2, 0\)"),
-        (_npz(w=b"not an array"), "member 'w' is not float32 or float64, got bytes"),
+        (_npz(w=_npy(np.ones(2, np.float16))), f"{NOT_FLOAT} float16"),
+        (_npz(w=_npy(np.zeros((2, 0)))),
+         r"member 'w': tensor extents must all be >= 1, got shape \(2, 0\)"),
+        (_npz(w=b"not an array"), rf"{NOT_FLOAT} \|S12"),
         (_object_npz(), "Object arrays cannot be loaded when allow_pickle=False"),
         (pickle.dumps({"w": np.ones(3)}), "pickled"),
         (ONES, "not an npz archive"),

@@ -210,6 +210,18 @@ def test_objective_that_ignores_x_has_zero_gradient():
     assert finite_difference_check(lambda t: c, Tensor(np.ones(3)), eps=EPS) == 0.0
 
 
+@pytest.mark.parametrize("x", [np.ones(3), np.float64(2.0)], ids=["vector", "scalar"])
+def test_objective_that_returns_x_checks_its_all_ones_gradient(x):
+    # x is no recorded op's output, so backward from it raised.
+    assert finite_difference_check(lambda t: t, Tensor(x), eps=EPS) == pytest.approx(0.0, abs=1e-9)
+
+
+def test_objective_that_returns_another_leaf_has_zero_gradient():
+    # A leaf that requires grad is no recorded op's output either.
+    w = Tensor(np.arange(3.0), requires_grad=True)
+    assert finite_difference_check(lambda t: w, Tensor(np.ones(3)), eps=EPS) == 0.0
+
+
 @pytest.mark.parametrize("pooling", ["gmp", "gap"])
 def test_whole_model_three_stream_loss(pooling):
     """Every parameter of a small tinynet under L_G + L_P + 0.1 * L_side."""

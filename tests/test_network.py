@@ -579,15 +579,17 @@ class TestForward:
 
     @pytest.mark.parametrize("dtype", [np.uint8, np.int64, np.bool_])
     def test_non_float_input_rejected(self, dtype):
-        # A uint8 image of 0-255 values, or a bool mask, used to run and return logits.
+        # A uint8 image of 0-255 values, or a bool mask, used to run and return logits;
+        # wrapped in a Tensor, which cast it to f64, it still did.
         model = build_model(tinynet_spec(classes=4, filters_per_class=2), seed=0)
         x = np.ones((3, 64, 64), dtype=dtype)
-        message = rf"input image has dtype {np.dtype(dtype)}, but images are floats in \[0, 1\]"
+        message = rf"tensor data must be float32 or float64, got dtype {np.dtype(dtype)}"
         for run in (lambda im: forward(model, im), lambda im: tap_features(model, im, "block3")):
-            with pytest.raises(ValueError, match=message):
-                run(x)
-            with pytest.raises(ValueError, match=message):
-                run(x[None])
+            for image in (x, x[None]):
+                with pytest.raises(ValueError, match=message):
+                    run(image)
+                with pytest.raises(ValueError, match=message):
+                    run(Tensor(image))
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 1e300])
     @pytest.mark.filterwarnings("ignore:overflow encountered in cast:RuntimeWarning")
@@ -1080,6 +1082,17 @@ class TestFusePredictions:
         logits = [[[0.0, 1.0], [1.0, 0.0]] for _ in range(3)]
         logits[stream][1][1] = bad
         with pytest.raises(ValueError, match=f"{name} stream logits have NaN or inf values"):
+            fuse_predictions(self._outputs(*logits), (1.0, 1.0, 0.1))
+
+    @pytest.mark.parametrize("g_rows,bad_rows,stream,name", [
+        (4, 1, 1, "P0"), (4, 1, 2, "side0"), (1, 4, 1, "P0"),
+    ], ids=["p-one-row", "side-one-row", "g-one-row"])
+    def test_stream_shape_must_match_g(self, g_rows, bad_rows, stream, name):
+        # (1, 3) P logits broadcast against (4, 3) G logits and fused into 4 rows.
+        logits = [np.zeros((g_rows, 3)) for _ in range(3)]
+        logits[stream] = np.zeros((bad_rows, 3))
+        with pytest.raises(ValueError, match=rf"{name} stream logits have shape "
+                                             rf"\({bad_rows}, 3\), but G's have \({g_rows}, 3\)"):
             fuse_predictions(self._outputs(*logits), (1.0, 1.0, 0.1))
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])

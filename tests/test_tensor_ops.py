@@ -872,6 +872,24 @@ class TestGradTape:
         with pytest.raises(ValueError, match="got dtype complex128"):
             tape.backward(y, seed=[1 + 5j, 1, 1])
 
+    def test_integer_seed_rejected(self):
+        # An int seed was cast to the output's dtype like any other.
+        x = Tensor(np.ones(3), requires_grad=True)
+        with GradTape() as tape:
+            y = ops.scale(x, 2.0)
+        with pytest.raises(ValueError, match="float32 or float64, got dtype int64"):
+            tape.backward(y, seed=[1, 1, 1])
+
+    @pytest.mark.parametrize("seed", [[1.0, 0.5, -2.0], np.array([1.0, 0.5, -2.0], np.float32)],
+                             ids=["float-list", "f32-array"])
+    def test_float_seed_cast_to_output_dtype(self, seed):
+        x = Tensor(np.ones(3), requires_grad=True)
+        with GradTape() as tape:
+            y = ops.scale(x, 2.0)
+        tape.backward(y, seed=seed)
+        assert tape.grad(x).dtype == np.float64
+        assert tape.grad(x).data.tolist() == [2.0, 1.0, -4.0]
+
     def test_wrong_gradient_shape_from_a_record_raises(self):
         x = Tensor(np.ones(3), requires_grad=True)
         y = Tensor(np.ones(3))
@@ -910,10 +928,17 @@ class TestTensorInvariants:
         assert Tensor(t).data is t.data
         assert Tensor(t, dtype="f32").data.tolist() == [0.0, 1.0, 2.0]
 
-    def test_integers_become_float64(self):
-        for data in (np.arange(3), [0, 1, 2]):
-            t = Tensor(data)
-            assert t.dtype == np.float64 and t.data.tolist() == [0.0, 1.0, 2.0]
+    @pytest.mark.parametrize("dtype", [None, "f32"])
+    @pytest.mark.parametrize("data,name", [
+        (np.arange(3, dtype=np.uint8), "uint8"), (np.arange(3, dtype=np.int64), "int64"),
+        (np.ones(3, dtype=bool), "bool"), (np.ones(3, dtype=np.float16), "float16"),
+        ([0, 1, 2], "int64"), ([True, False], "bool"),
+    ], ids=["uint8", "int64", "bool", "float16", "int-list", "bool-list"])
+    def test_non_float_data_rejected(self, data, name, dtype):
+        # Bool, int and f16 data became f64: a uint8 image kept its 0-255 values.
+        with pytest.raises(ValueError,
+                           match=f"tensor data must be float32 or float64, got dtype {name}$"):
+            Tensor(data, dtype=dtype)
 
     def test_byte_swapped_floats_keep_their_width(self):
         # A big-endian f32 became f64, as if it were an int.
@@ -945,7 +970,7 @@ class TestTensorInvariants:
         for data, name in ((np.array([1.0 + 2.0j, 3.0]), "complex128"), ([1.0, None], "object"),
                            (np.array([None]), "object"), (["1.0", "2.0"], "<U3")):
             with pytest.raises(ValueError,
-                               match=f"tensor data must be bool, int or float, got dtype {name}"):
+                               match=f"tensor data must be float32 or float64, got dtype {name}"):
                 Tensor(data, dtype=dtype)
 
     def test_array_no_copy_with_dtype_change_rejected(self):

@@ -12,7 +12,9 @@ block3 and block4, and one taped pass: the summed cross-entropy of every
 stream, every gradient (the input's included) and the tape's record count.
 At one point it digests the float that ``finite_difference_check`` returns
 for that summed loss as a function of one weight, a rank-0 objective like
-the benchmark's.  It also digests the images, labels and truth boxes of
+the benchmark's.  At gmp, m1, f32, batch 4 it also digests ``forward``'s
+logits for that batch given at f64, native and byte-swapped, so the casts
+of its input run too.  It also digests the images, labels and truth boxes of
 each split that ``data.generate`` makes for ``SynthSpec()`` and for the
 small specs in ``SYNTH_SPECS``, which together reach every branch of the
 generator.
@@ -130,6 +132,18 @@ def _gradcheck() -> str:
     return _sha(finite_difference_check(f, model.params[name], eps=1e-6, max_coords=6, rng=0))
 
 
+def _cast_inputs():
+    """(name, digest) of all of ``forward``'s logit streams at gmp, m1, f32, batch 4,
+    for that batch given at f64, native and byte-swapped, which ``forward`` casts."""
+    from patchbank import network
+
+    model = network.build_model(_spec(network, "gmp", 1), seed=0, dtype="f32")
+    x = np.random.default_rng(4).random((4, 3, 32, 32))
+    for name, image in (("f64", x), ("f64_swapped", x.astype(x.dtype.newbyteorder()))):
+        streams = network.logit_streams(network.forward(model, image))
+        yield name, _sha(*(s.data for s in streams))
+
+
 def _generated(overrides: dict):
     """(name, digest) of the images, labels and boxes of each split ``generate`` makes."""
     from patchbank import data
@@ -142,8 +156,8 @@ def _generated(overrides: dict):
 
 
 def digests(poolings=POOLINGS, modules=MODULES, dtypes=DTYPES, batches=BATCHES) -> list[str]:
-    """One ``name sha256`` line per output over the grid, for the gradcheck
-    and per generated dataset; every name is unique."""
+    """One ``name sha256`` line per output over the grid, for the gradcheck,
+    for the cast inputs and per generated dataset; every name is unique."""
     from patchbank import network
 
     lines = []
@@ -158,6 +172,7 @@ def digests(poolings=POOLINGS, modules=MODULES, dtypes=DTYPES, batches=BATCHES) 
                     lines += [f"{point}.b{batch}.{name} {digest}"
                               for name, digest in _outputs(model, batch)]
     lines.append(f"gradcheck.gmp.m1.f64.b4.backbone.0.weight {_gradcheck()}")
+    lines += [f"cast.gmp.m1.f32.b4.{name}.logits {digest}" for name, digest in _cast_inputs()]
     for spec_name, overrides in SYNTH_SPECS.items():
         lines += [f"data.{spec_name}.{name} {digest}"
                   for name, digest in _generated(overrides)]
