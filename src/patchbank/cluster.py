@@ -50,9 +50,9 @@ def kmeans(vectors, k: int, seed) -> KMeansResult:
     Seeding is k-means++ from the given seed (an int, SeedSequence, or
     Generator), and at most ``MAX_ITER`` iterations run.  Assignment ties
     go to the smallest center index; a cluster that empties is re-seeded
-    at the point farthest from its assigned center.  If fewer than k rows
-    are given, they are repeated cyclically to k.  Non-finite vectors, and
-    vectors whose dtype is not bool, int or float, are rejected.
+    at the point farthest from its assigned center, so where k exceeds the
+    number of distinct rows, or of rows, some centers repeat a row.  Non-finite
+    vectors, and vectors whose dtype is not bool, int or float, are rejected.
     """
     points = np.asarray(vectors)
     # The float64 cast would drop a complex vector's imaginary part with only a warning.
@@ -67,10 +67,6 @@ def kmeans(vectors, k: int, seed) -> KMeansResult:
     if not np.isfinite(points).all():
         raise ValueError("kmeans vectors must be finite, got NaN or inf")
     n = len(points)
-    if n < k:
-        filler = points[[i % n for i in range(k - n)]]
-        points = np.concatenate([points, filler], axis=0)
-        n = len(points)
 
     rng = np.random.default_rng(seed)
     centers = _seed_plusplus(points, k, rng)

@@ -6,8 +6,10 @@ plus a small class-specific striped patch anywhere in the image, plus
 (class-uninformative) parameters, plus gaussian pixel noise (``NOISE``).  Global
 appearance carries only a weak cue: the background is tinted (``TINT_STRENGTH``)
 toward the label's tint color with probability ``cue_reliability`` and toward a
-random other class otherwise.  The planted patch rectangle is recorded per sample
+random other class otherwise.  Every sample records its planted patch rectangle
 as ground truth for localization oracles; it is never an input to training.
+``save_dataset`` and ``load_folder`` keep a dataset in one format: PPM images
+and a `path,label,top,left,bottom,right` CSV manifest per split.
 """
 
 from __future__ import annotations
@@ -87,7 +89,7 @@ class SynthSpec:
 class Sample:
     image: np.ndarray              # (3, S, S) float64 in [0, 1]
     label: int
-    truth_box: Box | None = None   # planted patch rectangle; oracle metadata only
+    truth_box: Box                 # planted patch rectangle, always given; oracle metadata only
 
 
 NEUTRAL_SIGNATURE = PatchSignature(color=(0.7, 0.7, 0.7), angle=np.pi / 3, period=3.0)
@@ -117,15 +119,17 @@ def _place(rng: np.random.Generator, spec: SynthSpec) -> tuple[int, int]:
     center = top_max // 2
     u, v = rng.random(2)
     # Not ``u * top_max``: that is not shown to round as the seeded images did.
+    # Each rounding step is monotone between exact integer ends, so both lie in [0, top_max].
     top = int(round(center + (u * top_max - center)))
     left = int(round(center + (v * top_max - center)))
-    return min(max(top, 0), top_max), min(max(left, 0), top_max)
+    return top, left
 
 
 @dataclass(frozen=True)
 class _Tables:
     """What every sample of one spec shares; ``generate`` builds it once per call.
 
+    ``stamps`` holds each class's rendered patch and, last, the neutral one.
     The background is a bilinear upsampling of a 5x5 grid.  Pixel (y, x)
     blends grid rows ``i0[y]`` (weight ``1 - frac[y]``) and ``i1[y]``
     (weight ``frac[y]``), and the same columns of x.  ``rows`` and
@@ -134,12 +138,11 @@ class _Tables:
     (2S,).
     """
 
-    signatures: tuple[PatchSignature, ...]
+    stamps: tuple[np.ndarray, ...]
     rows: np.ndarray
     row_weights: np.ndarray
     cols: np.ndarray
     col_weights: np.ndarray
-    neutral_stamp: np.ndarray     # render_patch(NEUTRAL_SIGNATURE, patch_size)
 
     @classmethod
     def build(cls, spec: SynthSpec) -> "_Tables":
@@ -147,14 +150,14 @@ class _Tables:
         i0 = np.clip(coords.astype(int), 0, 3)
         frac = coords - i0
         i1 = np.minimum(i0 + 1, 4)
-        return cls(signatures=default_signatures(spec.classes, spec.patch_contrast),
+        sigs = (*default_signatures(spec.classes, spec.patch_contrast), NEUTRAL_SIGNATURE)
+        return cls(stamps=tuple(render_patch(sig, spec.patch_size) for sig in sigs),
                    rows=np.stack([i0, i1]), row_weights=np.stack([1 - frac, frac])[:, :, None],
-                   cols=np.concatenate([i0, i1]), col_weights=np.concatenate([1 - frac, frac]),
-                   neutral_stamp=render_patch(NEUTRAL_SIGNATURE, spec.patch_size))
+                   cols=np.concatenate([i0, i1]), col_weights=np.concatenate([1 - frac, frac]))
 
 
-def _background(grid: np.ndarray, tables: _Tables, amplitude: float) -> np.ndarray:
-    """The (S, S) grey field ``0.45 + amplitude * (fieldmap - 0.5)``, where
+def _background(grid: np.ndarray, tables: _Tables) -> np.ndarray:
+    """The (S, S) grey field ``0.45 + BACKGROUND_AMPLITUDE * (fieldmap - 0.5)``, where
 
         fieldmap = g00 * (1 - fy) * (1 - fx) + g10 * fy * (1 - fx)
                    + g01 * (1 - fy) * fx + g11 * fy * fx
@@ -171,7 +174,7 @@ def _background(grid: np.ndarray, tables: _Tables, amplitude: float) -> np.ndarr
     field += terms[0, :, s:]
     field += terms[1, :, s:]
     field -= 0.5
-    field *= amplitude
+    field *= BACKGROUND_AMPLITUDE
     field += 0.45
     return field
 
@@ -190,7 +193,7 @@ def _render_sample(spec: SynthSpec, tables: _Tables, split: str, index: int,
 
     # Shared-family background: a low-frequency field, equally likely for
     # every class, tinted toward a (possibly corrupted) class color.
-    field = _background(rng.random((5, 5)), tables, BACKGROUND_AMPLITUDE)
+    field = _background(rng.random((5, 5)), tables)
 
     tint_label = label
     if rng.random() >= spec.cue_reliability and spec.classes > 1:
@@ -217,10 +220,8 @@ def _render_sample(spec: SynthSpec, tables: _Tables, split: str, index: int,
 
     # The class patch is drawn last so it is never occluded.
     top, left = _place(rng, spec)
-    if rng.random() < spec.neutral_patch_rate:
-        image[:, top : top + p, left : left + p] = tables.neutral_stamp
-    else:
-        image[:, top : top + p, left : left + p] = render_patch(tables.signatures[label], p)
+    neutral = rng.random() < spec.neutral_patch_rate
+    image[:, top : top + p, left : left + p] = tables.stamps[-1 if neutral else label]
 
     image += rng.normal(0.0, NOISE, size=image.shape)
     np.clip(image, 0.0, 1.0, out=image)
@@ -232,9 +233,9 @@ def generate(spec: SynthSpec) -> tuple[list[Sample], list[Sample]]:
     """Deterministic train/test splits, class-major; each sample is seeded
     independently from (seed, split, index).
 
-    The tables every sample shares (class signatures, background
-    interpolation indices and weights, the neutral stamp) are built once
-    per call and passed down; nothing is cached between calls.  A sample's
+    The tables every sample shares (every class's stamp and the neutral
+    one, background interpolation indices and weights) are built once per
+    call and passed down; nothing is cached between calls.  A sample's
     bytes depend on the order of its RNG calls (see ``_render_sample``).
     """
     jobs = {"train": spec.per_class_train, "test": spec.per_class_test}
@@ -250,47 +251,46 @@ def generate(spec: SynthSpec) -> tuple[list[Sample], list[Sample]]:
 # ----------------------------------------------------------------- folders
 
 
-_MANIFEST_HEADER = ["path", "label", "top", "left", "bottom", "right"]
+_HEADER = "path,label,top,left,bottom,right"
 
 
 def save_dataset(out_dir, train: list[Sample], test: list[Sample]) -> None:
     """Write PPM images and one `path,label,top,left,bottom,right` CSV manifest per
-    split; a sample without a truth box leaves its four box fields empty.  Before any
-    file is written, each split is checked as ``load_folder`` will read it back: every
-    label a non-negative integer, every image the first one's shape, and every image
-    one that ``save_ppm`` accepts (3 channels, finite values)."""
+    split, each row holding a sample's truth box.  Before any file is written, each
+    split is checked as ``load_folder`` will read it back: every label a non-negative
+    integer, every truth box a ``Box``, every image the first one's shape, and every
+    image one that ``save_ppm`` accepts (3 channels, finite values)."""
     out_dir = Path(out_dir)
-    splits = (("train", train), ("test", test))
-    files = {}
-    for split, samples in splits:
+    splits = []
+    for split, samples in (("train", train), ("test", test)):
+        files, rows = {}, [_HEADER.split(",")]
         for i, sample in enumerate(samples):
             check_int(f"{split} sample {i} label", sample.label, 0)
             shape, first = np.shape(sample.image), np.shape(samples[0].image)
             if shape != first:
                 raise ValueError(f"{split} sample {i}: image shape {shape}, the first is {first}")
+            b = sample.truth_box
+            if not isinstance(b, Box):
+                raise ValueError(f"{split} sample {i}: truth box must be a Box, got {b!r}")
             rel = f"{split}/{i:05d}.ppm"
             files[rel] = ppm_bytes(out_dir / rel, sample.image)
-    for split, samples in splits:
+            rows.append([rel, sample.label, b.top, b.left, b.bottom, b.right])
+        splits.append((split, files, rows))
+    for split, files, rows in splits:
         (out_dir / split).mkdir(parents=True, exist_ok=True)
+        for rel, content in files.items():
+            (out_dir / rel).write_bytes(content)
         with open(out_dir / f"{split}.csv", "w", newline="") as mf:
-            writer = csv.writer(mf, lineterminator="\n")
-            writer.writerow(_MANIFEST_HEADER)
-            for i, sample in enumerate(samples):
-                rel = f"{split}/{i:05d}.ppm"
-                (out_dir / rel).write_bytes(files[rel])
-                b = sample.truth_box
-                box = ["", "", "", ""] if b is None else [b.top, b.left, b.bottom, b.right]
-                writer.writerow([rel, sample.label, *box])
+            csv.writer(mf, lineterminator="\n").writerows(rows)
 
 
 def load_folder(manifest_path) -> list[Sample]:
-    """Load a `path,label` CSV manifest of P6 PPM images, scaled to [0, 1].
+    """Load a `path,label,top,left,bottom,right` CSV manifest of P6 PPM images,
+    scaled to [0, 1], as ``save_dataset`` writes it.
 
-    Each image keeps the size it was saved at, so under the
-    `path,label,top,left,bottom,right` header that ``save_dataset`` writes,
-    each row's box is its ``truth_box`` in the same pixels, None where the
-    four fields are empty.  Paths are taken relative to the manifest
-    location; every image must have the first one's size.
+    Each image keeps the size it was saved at, and each row's box is its
+    ``truth_box`` in the same pixels.  Paths are taken relative to the manifest
+    location; every image must have the first one's size; blank rows are skipped.
     """
     manifest_path = Path(manifest_path)
     root = manifest_path.parent
@@ -299,28 +299,26 @@ def load_folder(manifest_path) -> list[Sample]:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header is None:  # as a truncated write leaves it; an empty split keeps its header
-            raise ValueError(f"{manifest_path}: empty manifest, expected a 'path,label' header")
-        if header not in (_MANIFEST_HEADER[:2], _MANIFEST_HEADER):
-            raise ValueError(f"{manifest_path}: expected 'path,label' header, got {header}")
+            raise ValueError(f"{manifest_path}: empty manifest, expected header {_HEADER!r}")
+        if header != _HEADER.split(","):
+            raise ValueError(f"{manifest_path}: expected header {_HEADER!r}, got {header}")
         for row in reader:
             if not row:
                 continue
             path = row[0]
             where = f"{manifest_path}, row {reader.line_num}, path {path!r}"
-            if len(row) < 2:
-                raise ValueError(f"{where}: expected 'path,label', got {row}")
+            if len(row) != len(header):
+                raise ValueError(f"{where}: expected {_HEADER!r}, got {row}")
             try:
                 label = int(row[1])
             except ValueError:
                 raise ValueError(f"{where}: label {row[1]!r} is not an integer") from None
             if label < 0:
                 raise ValueError(f"{where}: negative label {label}")
-            box = None
-            if len(header) > 2 and any(row[2:]):
-                try:
-                    box = Box(*map(float, row[2:]))
-                except (TypeError, ValueError) as e:  # TypeError: not four fields
-                    raise ValueError(f"{where}: box {row[2:]}: {e}") from None
+            try:
+                box = Box(*map(float, row[2:]))
+            except ValueError as e:
+                raise ValueError(f"{where}: box {row[2:]}: {e}") from None
             img = load_ppm(root / path)
             if samples and img.shape != samples[0].image.shape:
                 raise ValueError(f"{where}: image is {img.shape[1]}x{img.shape[2]}, the first "

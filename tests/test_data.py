@@ -104,6 +104,14 @@ def generate_reference(spec):
     return out["train"], out["test"]
 
 
+BOXED = "path,label,top,left,bottom,right\n"
+
+
+def boxed(image, label):
+    """A sample whose truth box is the top-left pixel."""
+    return Sample(image, label, Box(0.0, 0.0, 1.0, 1.0))
+
+
 def small_spec(**overrides):
     base = dict(classes=3, per_class_train=4, per_class_test=2, image_size=24,
                 patch_size=8, seed=0)
@@ -206,42 +214,32 @@ class TestFolders:
         assert len(back) == len(train)
         for orig, loaded in zip(train, back):
             assert loaded.label == orig.label
-            assert orig.truth_box is not None and loaded.truth_box == orig.truth_box
+            assert loaded.truth_box == orig.truth_box
             # PPM quantizes to u8; round trip is exact at that resolution.
             np.testing.assert_allclose(loaded.image, np.rint(orig.image * 255) / 255,
                                        atol=1e-12)
 
-    def test_sample_without_a_box_round_trips(self, tmp_path):
-        train, _ = generate(small_spec(seed=8))
-        train[1].truth_box = None
-        save_dataset(tmp_path, train[:2], [])
-        back = load_folder(tmp_path / "train.csv")
-        assert [s.truth_box for s in back] == [train[0].truth_box, None]
-        # Each image comes back at the 24 px it was saved at, in its box's pixels.
-        for orig, loaded in zip(train, back):
-            assert loaded.image.shape == orig.image.shape == (3, 24, 24)
-            assert loaded.image.tobytes() == (np.rint(orig.image * 255) / 255).tobytes()
-        assert (tmp_path / "test.csv").read_text() == "path,label,top,left,bottom,right\n"
-
     def test_empty_manifest(self, tmp_path):
-        (tmp_path / "m.csv").write_text("path,label\n")
+        (tmp_path / "m.csv").write_text(BOXED)
         assert load_folder(tmp_path / "m.csv") == []
         # save_dataset writes a header-only manifest for an empty split.
-        save_dataset(tmp_path, [Sample(np.zeros((3, 4, 4)), 0)], [])
+        save_dataset(tmp_path, [boxed(np.zeros((3, 4, 4)), 0)], [])
+        assert (tmp_path / "test.csv").read_text() == BOXED
         assert load_folder(tmp_path / "test.csv") == []
 
     def test_manifest_without_header_rejected(self, tmp_path):
         # A truncated write leaves 0 bytes, which must not load as an empty split.
         (tmp_path / "m.csv").write_bytes(b"")
-        with pytest.raises(ValueError, match=r"m\.csv: empty manifest, expected a 'path,label'"):
+        with pytest.raises(ValueError, match=r"m\.csv: empty manifest, expected header "
+                                             r"'path,label,top,left,bottom,right'$"):
             load_folder(tmp_path / "m.csv")
 
     def test_blank_rows_skipped(self, tmp_path):
         save_ppm(tmp_path / "i.ppm", np.zeros((3, 2, 2)))
-        (tmp_path / "m.csv").write_text("path,label\n\ni.ppm,1\n\n")
+        (tmp_path / "m.csv").write_text(BOXED + "\ni.ppm,1,0,0,1.5,2\n\n")
         loaded = load_folder(tmp_path / "m.csv")
         assert [s.label for s in loaded] == [1]
-        assert loaded[0].truth_box is None  # a two-column manifest holds no boxes
+        assert loaded[0].truth_box == Box(0.0, 0.0, 1.5, 2.0)
 
     def test_row_count_matches_samples(self, tmp_path):
         train, test = generate(small_spec(seed=9))
@@ -252,59 +250,63 @@ class TestFolders:
     def test_images_of_two_sizes_rejected(self, tmp_path):
         save_ppm(tmp_path / "a.ppm", np.zeros((3, 2, 2)))
         save_ppm(tmp_path / "b.ppm", np.zeros((3, 3, 3)))
-        (tmp_path / "m.csv").write_text("path,label\na.ppm,0\nb.ppm,1\n")
+        (tmp_path / "m.csv").write_text(BOXED + "a.ppm,0,0,0,1,1\nb.ppm,1,0,0,1,1\n")
         with pytest.raises(ValueError,
                            match=r"m\.csv, row 3, path 'b\.ppm': image is 3x3, the first is 2x2"):
             load_folder(tmp_path / "m.csv")
 
     @pytest.mark.parametrize("test,message", [
-        ([Sample(np.zeros((3, 4, 4)), 0), Sample(np.zeros((3, 5, 5)), 1)],
+        ([boxed(np.zeros((3, 4, 4)), 0), boxed(np.zeros((3, 5, 5)), 1)],
          r"test sample 1: image shape \(3, 5, 5\), the first is \(3, 4, 4\)"),
-        ([Sample(np.zeros((3, 4, 4)), -1)], "test sample 0 label must be >= 0, got -1"),
-        ([Sample(np.zeros((3, 4, 4)), 1.5)], "test sample 0 label must be an integer, got 1.5"),
-        ([Sample(np.zeros((3, 4, 4)), True)], "test sample 0 label must be an integer, got True"),
-        ([Sample(np.zeros((3, 4, 4)), 0), Sample(np.full((3, 4, 4), np.nan), 1)],
+        ([boxed(np.zeros((3, 4, 4)), -1)], "test sample 0 label must be >= 0, got -1"),
+        ([boxed(np.zeros((3, 4, 4)), 1.5)], "test sample 0 label must be an integer, got 1.5"),
+        ([boxed(np.zeros((3, 4, 4)), True)], "test sample 0 label must be an integer, got True"),
+        ([boxed(np.zeros((3, 4, 4)), 0), boxed(np.full((3, 4, 4), np.nan), 1)],
          r"test/00001\.ppm: image has NaN or inf values"),
-        ([Sample(np.full((3, 4, 4), np.inf), 0)], r"test/00000\.ppm: image has NaN or inf values"),
-        ([Sample(np.zeros((1, 4, 4)), 0)],
+        ([boxed(np.full((3, 4, 4), np.inf), 0)], r"test/00000\.ppm: image has NaN or inf values"),
+        ([boxed(np.zeros((1, 4, 4)), 0)],
          r"test/00000\.ppm: expected a \(3, H, W\) image, got shape \(1, 4, 4\)"),
+        ([boxed(np.zeros((3, 4, 4)), 0), Sample(np.zeros((3, 4, 4)), 1, None)],
+         "test sample 1: truth box must be a Box, got None"),
+        ([boxed(np.zeros((3, 4, 4)), 0), Sample(np.zeros((3, 4, 4)), 1, (1.0, 2.0, 3.0, 4.0))],
+         r"test sample 1: truth box must be a Box, got \(1\.0, 2\.0, 3\.0, 4\.0\)"),
     ], ids=["two-sizes", "negative-label", "float-label", "bool-label", "nan-image",
-            "inf-image", "one-channel"])
+            "inf-image", "one-channel", "no-box", "tuple-box"])
     def test_save_rejects_what_load_would_refuse(self, tmp_path, test, message):
         # load_folder would refuse each of these splits, so save_dataset refuses it first.
-        train = [Sample(np.zeros((3, 6, 6)), 0)]
+        train = [boxed(np.zeros((3, 6, 6)), 0)]
         with pytest.raises(ValueError, match=message):
             save_dataset(tmp_path / "out", train, test)
         assert not (tmp_path / "out").exists()  # checked before any file is written
 
     def test_splits_may_differ_in_size(self, tmp_path):
         # load_folder reads one manifest at a time, so only a split's own images must agree.
-        save_dataset(tmp_path, [Sample(np.zeros((3, 4, 4)), 0)], [Sample(np.zeros((3, 5, 5)), 1)])
+        save_dataset(tmp_path, [boxed(np.zeros((3, 4, 4)), 0)], [boxed(np.zeros((3, 5, 5)), 1)])
         assert load_folder(tmp_path / "test.csv")[0].image.shape == (3, 5, 5)
 
     def test_unreadable_file_rejected(self, tmp_path):
-        (tmp_path / "m.csv").write_text("path,label\nmissing.ppm,0\n")
+        (tmp_path / "m.csv").write_text(BOXED + "missing.ppm,0,0,0,1,1\n")
         with pytest.raises(OSError):
             load_folder(tmp_path / "m.csv")
 
     def test_negative_label_rejected(self, tmp_path):
         save_ppm(tmp_path / "i.ppm", np.zeros((3, 2, 2)))
-        (tmp_path / "m.csv").write_text("path,label\ni.ppm,-1\n")
+        (tmp_path / "m.csv").write_text(BOXED + "i.ppm,-1,0,0,1,1\n")
         with pytest.raises(ValueError, match="negative label"):
             load_folder(tmp_path / "m.csv")
 
-    @pytest.mark.parametrize("row,message", [("i.ppm", "expected 'path,label'"),
-                                             ("i.ppm,1.5", "label '1.5' is not an integer"),
-                                             ("i.ppm,", "label '' is not an integer")])
+    @pytest.mark.parametrize("row,message", [
+        ("i.ppm", r"expected 'path,label,top,left,bottom,right', got \['i\.ppm'\]"),
+        ("i.ppm,0", r"expected 'path,label,top,left,bottom,right', got \['i\.ppm', '0'\]"),
+        ("i.ppm,1.5,0,0,1,1", "label '1.5' is not an integer"),
+        ("i.ppm,,0,0,1,1", "label '' is not an integer"),
+    ], ids=["path-only", "cut-after-label", "float-label", "empty-label"])
     def test_malformed_row_rejected(self, tmp_path, row, message):
         save_ppm(tmp_path / "i.ppm", np.zeros((3, 2, 2)))
-        (tmp_path / "m.csv").write_text(f"path,label\ni.ppm,0\n{row}\n")
+        (tmp_path / "m.csv").write_text(f"{BOXED}i.ppm,0,0,0,1,1\n{row}\n")
         # The message names the manifest, the row and the path.
         with pytest.raises(ValueError, match=rf"m\.csv, row 3, path 'i\.ppm': {message}"):
             load_folder(tmp_path / "m.csv")
-
-
-BOXED = "path,label,top,left,bottom,right\n"
 
 
 def _manifest(directory, text):
@@ -343,15 +345,20 @@ def _manifest(directory, text):
     (lambda d: small_spec(cue_reliability=True), "cue_reliability must be a real number, got True"),
     (lambda d: small_spec(patch_contrast="0.2"),
      "patch_contrast must be a real number, got '0.2'"),
-    (lambda d: load_folder(_manifest(d, "file,class\ni.ppm,0\n")),
-     r"m\.csv: expected 'path,label' header, got \['file', 'class'\]"),
+    (lambda d: load_folder(_manifest(d, "file,class,top,left,bottom,right\ni.ppm,0,0,0,1,1\n")),
+     r"m\.csv: expected header 'path,label,top,left,bottom,right', "
+     r"got \['file', 'class', 'top', 'left', 'bottom', 'right'\]"),
     (lambda d: load_folder(_manifest(d, "path,label,top\ni.ppm,0,1\n")),
-     r"m\.csv: expected 'path,label' header, got \['path', 'label', 'top'\]"),
+     r"m\.csv: expected header 'path,label,top,left,bottom,right', "
+     r"got \['path', 'label', 'top'\]"),
+    (lambda d: load_folder(_manifest(d, "path,label\ni.ppm,0\n")),
+     r"m\.csv: expected header 'path,label,top,left,bottom,right', got \['path', 'label'\]"),
     (lambda d: load_folder(_manifest(d, BOXED + "i.ppm,0,1,2,3\n")),
-     r"m\.csv, row 2, path 'i\.ppm': box \['1', '2', '3'\]: .*missing 1 required positional "
-     r"argument: 'right'"),
+     r"m\.csv, row 2, path 'i\.ppm': expected 'path,label,top,left,bottom,right', "
+     r"got \['i\.ppm', '0', '1', '2', '3'\]"),
     (lambda d: load_folder(_manifest(d, BOXED + "i.ppm,0,1,2,3,4,5\n")),
-     r"row 2, path 'i\.ppm': box \['1', '2', '3', '4', '5'\]: .*takes 5 positional arguments"),
+     r"row 2, path 'i\.ppm': expected 'path,label,top,left,bottom,right', "
+     r"got \['i\.ppm', '0', '1', '2', '3', '4', '5'\]"),
     (lambda d: load_folder(_manifest(d, BOXED + "i.ppm,0,a,0,1,1\n")),
      r"row 2, path 'i\.ppm': box \['a', '0', '1', '1'\]: could not convert string to float"),
     (lambda d: load_folder(_manifest(d, BOXED + "i.ppm,0,nan,0,1,1\n")),
@@ -369,9 +376,9 @@ def _manifest(directory, text):
         "float-classes", "bool-classes",
         "float-train-count", "float-test-count", "float-image-size", "float-patch-size",
         "bool-seed", "negative-seed", "none-noise", "bool-noise",
-        "string-tint", "manifest-header", "manifest-box-header", "box-three-fields",
-        "box-five-fields", "box-not-a-number", "box-nan", "box-degenerate", "box-empty-field",
-        "huge-int-noise"])
+        "string-tint", "manifest-header", "manifest-box-header", "two-column-header",
+        "box-three-fields", "box-five-fields", "box-not-a-number", "box-nan", "box-degenerate",
+        "box-empty-field", "huge-int-noise"])
 def test_bad_input_rejected(tmp_path, call, message):
     with pytest.raises(ValueError, match=message):
         call(tmp_path)

@@ -42,3 +42,6 @@ def test_two_runs_give_the_same_lines_with_unique_names():
         for split in ("train", "test"):
             for part in ("images", "labels", "boxes"):
                 assert f"data.{spec}.{split}.{part}" in names
+    # The files save_dataset writes for the small spec, and each split load_folder reads back.
+    folder = {name for name in names if name.startswith("folder.")}
+    assert folder == {"folder.small.files", "folder.small.train.loaded", "folder.small.test.loaded"}

@@ -17,7 +17,9 @@ logits for that batch given at f64, native and byte-swapped, so the casts
 of its input run too.  It also digests the images, labels and truth boxes of
 each split that ``data.generate`` makes for ``SynthSpec()`` and for the
 small specs in ``SYNTH_SPECS``, which together reach every branch of the
-generator.
+generator.  For the ``SMALL`` spec's dataset it digests every file that
+``data.save_dataset`` writes, by relative path, and each split that
+``data.load_folder`` reads back from them.
 
 Two source trees that print the same lines give bit-identical outputs on
 this grid, which is the check a simplification owes ROADMAP aim 2:
@@ -29,6 +31,7 @@ import argparse
 import dataclasses
 import hashlib
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -144,6 +147,10 @@ def _cast_inputs():
         yield name, _sha(*(s.data for s in streams))
 
 
+def _boxes(samples) -> list[tuple]:
+    return [dataclasses.astuple(s.truth_box) for s in samples]
+
+
 def _generated(overrides: dict):
     """(name, digest) of the images, labels and boxes of each split ``generate`` makes."""
     from patchbank import data
@@ -152,12 +159,31 @@ def _generated(overrides: dict):
     for split, samples in (("train", train), ("test", test)):
         yield f"{split}.images", _sha(*(s.image for s in samples))
         yield f"{split}.labels", _sha([s.label for s in samples])
-        yield f"{split}.boxes", _sha([dataclasses.astuple(s.truth_box) for s in samples])
+        yield f"{split}.boxes", _sha(_boxes(samples))
+
+
+def _folder(overrides: dict):
+    """(name, digest) of the files ``save_dataset`` writes for one generated dataset,
+    each relative path and its bytes in sorted order, and of the images, labels and
+    boxes of each split ``load_folder`` reads back."""
+    from patchbank import data
+
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp)
+        data.save_dataset(root, *data.generate(data.SynthSpec(**overrides)))
+        paths = sorted(p.relative_to(root).as_posix() for p in root.rglob("*") if p.is_file())
+        yield "files", _sha(*(np.frombuffer(b, np.uint8) for rel in paths
+                              for b in (rel.encode(), (root / rel).read_bytes())))
+        for split in ("train", "test"):
+            back = data.load_folder(root / f"{split}.csv")
+            yield f"{split}.loaded", _sha(*(s.image for s in back), [s.label for s in back],
+                                          _boxes(back))
 
 
 def digests(poolings=POOLINGS, modules=MODULES, dtypes=DTYPES, batches=BATCHES) -> list[str]:
     """One ``name sha256`` line per output over the grid, for the gradcheck,
-    for the cast inputs and per generated dataset; every name is unique."""
+    for the cast inputs, per generated dataset and for the saved one; every
+    name is unique."""
     from patchbank import network
 
     lines = []
@@ -176,6 +202,7 @@ def digests(poolings=POOLINGS, modules=MODULES, dtypes=DTYPES, batches=BATCHES) 
     for spec_name, overrides in SYNTH_SPECS.items():
         lines += [f"data.{spec_name}.{name} {digest}"
                   for name, digest in _generated(overrides)]
+    lines += [f"folder.small.{name} {digest}" for name, digest in _folder(SMALL)]
     return lines
 
 
